@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pimcomp_arch::{HardwareConfig, PipelineMode};
-use pimcomp_core::{CompileOptions, PimCompiler, PumaCompiler};
+use pimcomp_core::{CompileOptions, CompileSession, PumaCompiler};
 use pimcomp_sim::Simulator;
 
 fn bench_end2end(c: &mut Criterion) {
@@ -16,9 +16,10 @@ fn bench_end2end(c: &mut Criterion) {
         let opts = CompileOptions::new(mode).with_fast_ga(1);
         group.bench_function(format!("tiny_cnn/{mode}/pimcomp"), |b| {
             b.iter(|| {
-                let compiled = PimCompiler::new(hw.clone())
-                    .compile(std::hint::black_box(&graph), &opts)
-                    .unwrap();
+                let compiled =
+                    CompileSession::new(hw.clone(), std::hint::black_box(&graph), opts.clone())
+                        .and_then(CompileSession::run)
+                        .unwrap();
                 Simulator::new(hw.clone()).run(&compiled).unwrap()
             });
         });

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pimcomp_arch::{HardwareConfig, PipelineMode};
-use pimcomp_core::{CompileOptions, PimCompiler, ReusePolicy};
+use pimcomp_core::{CompileOptions, CompileSession, ReusePolicy};
 use pimcomp_ir::transform::normalize;
 
 fn bench_memory(c: &mut Criterion) {
@@ -13,16 +13,17 @@ fn bench_memory(c: &mut Criterion) {
     group.sample_size(20);
 
     for mode in [PipelineMode::HighThroughput, PipelineMode::LowLatency] {
-        let compiled = PimCompiler::new(hw.clone())
-            .compile(
-                &graph,
-                &CompileOptions::new(mode).with_ga(pimcomp_core::GaParams {
-                    population: 8,
-                    iterations: 4,
-                    ..pimcomp_core::GaParams::fast(1)
-                }),
-            )
-            .unwrap();
+        let compiled = CompileSession::new(
+            hw.clone(),
+            &graph,
+            CompileOptions::new(mode).with_ga(pimcomp_core::GaParams {
+                population: 8,
+                iterations: 4,
+                ..pimcomp_core::GaParams::fast(1)
+            }),
+        )
+        .and_then(CompileSession::run)
+        .unwrap();
         for policy in ReusePolicy::ALL {
             group.bench_with_input(
                 BenchmarkId::new(format!("resnet18/{mode}"), policy.label()),

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pimcomp_arch::{HardwareConfig, PipelineMode};
-use pimcomp_core::{CompileOptions, PimCompiler};
+use pimcomp_core::{CompileOptions, CompileSession};
 use pimcomp_sim::Simulator;
 
 fn bench_sim(c: &mut Criterion) {
@@ -13,9 +13,13 @@ fn bench_sim(c: &mut Criterion) {
     for mode in [PipelineMode::HighThroughput, PipelineMode::LowLatency] {
         for par in [1usize, 8, 64] {
             let hw = HardwareConfig::small_test().with_parallelism(par);
-            let compiled = PimCompiler::new(hw.clone())
-                .compile(&graph, &CompileOptions::new(mode).with_fast_ga(1))
-                .unwrap();
+            let compiled = CompileSession::new(
+                hw.clone(),
+                &graph,
+                CompileOptions::new(mode).with_fast_ga(1),
+            )
+            .and_then(CompileSession::run)
+            .unwrap();
             let sim = Simulator::new(hw);
             group.bench_with_input(
                 BenchmarkId::new(format!("tiny_cnn/{mode}"), par),

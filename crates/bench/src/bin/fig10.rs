@@ -7,7 +7,7 @@
 
 use pimcomp_arch::PipelineMode;
 use pimcomp_bench::{hardware_for, load_network_or_exit, run_or_exit, HarnessOptions};
-use pimcomp_core::{CompileOptions, PimCompiler, ReusePolicy};
+use pimcomp_core::{CompileOptions, CompileSession, ReusePolicy};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -37,9 +37,10 @@ fn main() {
             let hw = run_or_exit(hardware_for(&graph, 20), net);
             // Compile once; replan memory per policy (the schedule is
             // policy-independent).
-            let compiled = PimCompiler::new(hw)
-                .compile(&graph, &CompileOptions::new(mode).with_ga(ga.clone()))
-                .expect("benchmark compiles");
+            let compiled =
+                CompileSession::new(hw, &graph, CompileOptions::new(mode).with_ga(ga.clone()))
+                    .and_then(CompileSession::run)
+                    .expect("benchmark compiles");
             let mut base_accesses = 0usize;
             for policy in ReusePolicy::ALL {
                 let plan = compiled.replan_memory(policy);

@@ -28,7 +28,8 @@
 
 use pimcomp_arch::{HardwareConfig, PipelineMode};
 use pimcomp_core::{
-    CompileError, CompileOptions, CompiledModel, GaParams, PimCompiler, PumaCompiler, ReusePolicy,
+    CompileError, CompileOptions, CompileSession, CompiledModel, GaParams, PumaCompiler,
+    ReusePolicy,
 };
 use pimcomp_ir::transform::normalize;
 use pimcomp_ir::Graph;
@@ -441,7 +442,8 @@ pub fn run_pair(
     let opts = CompileOptions::new(mode)
         .with_ga(ga.clone())
         .with_policy(policy);
-    let ours = PimCompiler::new(hw.clone()).compile(graph, &opts)?;
+    let ours =
+        CompileSession::new(hw.clone(), graph, opts.clone()).and_then(CompileSession::run)?;
     let base = PumaCompiler::new(hw.clone()).compile(graph, &opts)?;
     let sim = Simulator::new(hw);
     let r_ours = sim.run(&ours)?;
@@ -469,7 +471,7 @@ pub fn compile_one(
     let compiled = if baseline {
         PumaCompiler::new(hw).compile(graph, &opts)?
     } else {
-        PimCompiler::new(hw).compile(graph, &opts)?
+        CompileSession::new(hw, graph, opts).and_then(CompileSession::run)?
     };
     Ok(compiled)
 }

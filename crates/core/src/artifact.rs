@@ -57,6 +57,12 @@ pub enum ArtifactError {
         /// Fingerprint recorded in the artifact.
         found: u64,
     },
+    /// The model's parts disagree with each other (a truncated or
+    /// tampered artifact); see [`CompiledModel::check_coverage`].
+    Inconsistent {
+        /// What disagrees.
+        detail: String,
+    },
     /// JSON (de)serialization failed.
     Serialization(String),
     /// Filesystem I/O failed.
@@ -75,6 +81,9 @@ impl fmt::Display for ArtifactError {
                 "artifact was compiled for different hardware \
                  (fingerprint {found:#018x}, target is {expected:#018x})"
             ),
+            ArtifactError::Inconsistent { detail } => {
+                write!(f, "artifact is inconsistent: {detail}")
+            }
             ArtifactError::Serialization(detail) => {
                 write!(f, "artifact serialization failed: {detail}")
             }

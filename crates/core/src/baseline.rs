@@ -152,10 +152,10 @@ impl PumaCompiler {
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`PimCompiler::compile`]
+    /// Same failure modes as [`CompileSession::run`]
     /// (invalid inputs, insufficient capacity).
     ///
-    /// [`PimCompiler::compile`]: crate::PimCompiler::compile
+    /// [`CompileSession::run`]: crate::CompileSession::run
     pub fn compile(
         &self,
         graph: &Graph,

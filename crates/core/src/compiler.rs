@@ -1,15 +1,13 @@
-//! The top-level PIMCOMP compiler driver (paper Fig. 3).
-//!
-//! [`PimCompiler::compile`] is a thin wrapper over the staged
-//! [`CompileSession`](crate::CompileSession) API — both produce
-//! identical results for identical inputs (same GA seed).
+//! Compilation options and the finished [`CompiledModel`] (paper
+//! Fig. 3's user input and output); the staged
+//! [`CompileSession`](crate::CompileSession) produces one from the other.
 
+use crate::artifact::ArtifactError;
 use crate::ga::{GaParams, GaStats};
 use crate::mapping::CoreMapping;
 use crate::memory::{MemoryPlan, ReusePolicy};
 use crate::partition::{Partitioning, ReloadPlan};
 use crate::schedule::Schedule;
-use crate::session::{CompileObserver, CompileSession};
 use crate::waiting::DepInfo;
 use crate::CompileError;
 use pimcomp_arch::{HardwareConfig, PipelineMode};
@@ -72,8 +70,8 @@ impl CompileOptions {
     }
 
     /// Checks internal consistency. Run automatically when a
-    /// [`CompileSession`] is created, so stage code never sees
-    /// malformed options.
+    /// [`CompileSession`](crate::CompileSession) is created, so stage
+    /// code never sees malformed options.
     ///
     /// # Errors
     ///
@@ -284,72 +282,43 @@ impl CompiledModel {
             policy,
         )
     }
-}
 
-/// The PIMCOMP compiler: four stages driven by the GA optimizer.
-#[derive(Debug, Clone)]
-pub struct PimCompiler {
-    hw: HardwareConfig,
-}
-
-impl PimCompiler {
-    /// Creates a compiler for the given hardware target.
-    pub fn new(hw: HardwareConfig) -> Self {
-        PimCompiler { hw }
-    }
-
-    /// The hardware target.
-    pub fn hardware(&self) -> &HardwareConfig {
-        &self.hw
-    }
-
-    /// Runs the full pipeline: normalize → partition → GA(replicate +
-    /// map) → schedule → memory plan.
-    ///
-    /// Thin wrapper over [`CompileSession`]: equivalent to
-    /// `CompileSession::new(hw, graph, opts)?.run()`, stage by stage
-    /// and bit for bit.
+    /// Checks that the mapping's replication plan has one count per
+    /// partition entry: the invariant the simulator and the functional
+    /// executor rely on when they index partition entries by MVM index,
+    /// and the first one a truncated artifact breaks.
     ///
     /// # Errors
     ///
-    /// * [`CompileError::InvalidHardware`] / [`CompileError::InvalidGraph`]
-    ///   / [`CompileError::InvalidOptions`] for malformed inputs,
-    /// * [`CompileError::NoMvmNodes`] when nothing maps to crossbars,
-    /// * [`CompileError::InsufficientCapacity`] when the model cannot
-    ///   fit even without replication.
-    pub fn compile(
-        &self,
-        graph: &Graph,
-        opts: &CompileOptions,
-    ) -> Result<CompiledModel, CompileError> {
-        CompileSession::new(self.hw.clone(), graph, opts.clone())?.run()
-    }
-
-    /// [`PimCompiler::compile`] with progress callbacks.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PimCompiler::compile`].
-    pub fn compile_observed(
-        &self,
-        graph: &Graph,
-        opts: &CompileOptions,
-        observer: &mut dyn CompileObserver,
-    ) -> Result<CompiledModel, CompileError> {
-        CompileSession::new(self.hw.clone(), graph, opts.clone())?.run_observed(observer)
+    /// [`ArtifactError::Inconsistent`] naming both lengths.
+    pub fn check_coverage(&self) -> Result<(), ArtifactError> {
+        let counts = self.mapping.replication.counts().len();
+        let entries = self.partitioning.len();
+        if counts != entries {
+            return Err(ArtifactError::Inconsistent {
+                detail: format!(
+                    "replication plan covers {counts} nodes, partitioning has {entries}"
+                ),
+            });
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CompileSession;
     use pimcomp_ir::models;
 
     fn compile(mode: PipelineMode) -> CompiledModel {
         let graph = models::tiny_cnn();
         let hw = HardwareConfig::small_test();
         let opts = CompileOptions::new(mode).with_fast_ga(11);
-        PimCompiler::new(hw).compile(&graph, &opts).unwrap()
+        CompileSession::new(hw, &graph, opts)
+            .unwrap()
+            .run()
+            .unwrap()
     }
 
     #[test]
@@ -396,7 +365,10 @@ mod tests {
             },
             ..CompileOptions::new(PipelineMode::HighThroughput)
         };
-        let out = PimCompiler::new(hw).compile(&graph, &opts).unwrap();
+        let out = CompileSession::new(hw, &graph, opts)
+            .unwrap()
+            .run()
+            .unwrap();
         assert!(out
             .graph
             .nodes()
@@ -408,12 +380,12 @@ mod tests {
     fn invalid_hardware_is_rejected() {
         let mut hw = HardwareConfig::small_test();
         hw.parallelism = 0;
-        let err = PimCompiler::new(hw)
-            .compile(
-                &models::tiny_mlp(),
-                &CompileOptions::new(PipelineMode::HighThroughput).with_fast_ga(1),
-            )
-            .unwrap_err();
+        let err = CompileSession::new(
+            hw,
+            &models::tiny_mlp(),
+            CompileOptions::new(PipelineMode::HighThroughput).with_fast_ga(1),
+        )
+        .unwrap_err();
         assert!(matches!(err, CompileError::InvalidHardware { .. }));
     }
 }

@@ -9,11 +9,11 @@
 //!                          §IV-B             §IV-C                        §IV-D
 //! ```
 //!
-//! The primary entry point is the staged [`CompileSession`], whose
-//! typed artifacts ([`Partitioned`] → [`Optimized`] → [`Scheduled`] →
-//! [`CompiledModel`]) make every stage inspectable and re-enterable.
-//! [`PimCompiler::compile`] remains as a one-call wrapper over the same
-//! pipeline. A finished model wraps into a versioned, serializable
+//! The one entry point is the staged [`CompileSession`], whose typed
+//! artifacts ([`Partitioned`] → [`Optimized`] → [`Scheduled`] →
+//! [`CompiledModel`]) make every stage inspectable and re-enterable;
+//! [`CompileSession::run`] walks all of them in one call. A finished
+//! model wraps into a versioned, serializable
 //! [`CompiledArtifact`] for the compile-once/serve-many flow.
 //!
 //! # Example: staged compilation
@@ -55,7 +55,6 @@ mod compiler;
 mod error;
 mod fitness;
 mod ga;
-mod lower;
 mod mapping;
 mod memory;
 mod parallel;
@@ -69,7 +68,7 @@ pub use artifact::{
     graph_fingerprint, hardware_fingerprint, options_fingerprint, ArtifactError, CompiledArtifact,
 };
 pub use baseline::{puma_mapping, PumaCompiler};
-pub use compiler::{CompileOptions, CompileReport, CompiledModel, PimCompiler, StageTimings};
+pub use compiler::{CompileOptions, CompileReport, CompiledModel, StageTimings};
 pub use error::CompileError;
 pub use fitness::{
     ht_core_time, ht_fitness, ht_fitness_from_mapping, ll_fitness, ll_fitness_with_issue_floor,
@@ -79,7 +78,6 @@ pub use ga::{
     default_max_nodes_per_core, effective_parallelism, optimize, optimize_observed,
     split_stream_seed, GaContext, GaGeneration, GaParams, GaStats,
 };
-pub use lower::{lower_to_ops, CoreOp, OpStream};
 pub use mapping::{AgInstance, Chromosome, CoreMapping, Gene, GENE_RADIX};
 pub use memory::{MemoryPlan, ReusePolicy};
 pub use parallel::run_indexed;

@@ -687,22 +687,8 @@ impl ExploreEngine {
                 // starts full), so this fallback is unreachable; keep a
                 // structured record rather than an unwrap regardless.
                 let mut record = record.unwrap_or_else(|| PointRecord {
-                    model: points[idx].model.clone(),
-                    mode: points[idx].mode.to_string(),
-                    hardware: points[idx].hw_label.clone(),
-                    policy: crate::policy_spec_name(points[idx].policy).to_string(),
-                    batch: points[idx].batch as u64,
-                    seed: points[idx].seed,
-                    weight_reload: points[idx].reload.label(),
-                    seq_len: points[idx].seq.map(|s| s as u64),
-                    quantization: points[idx].quant.map(u64::from),
-                    rung: 0,
-                    budget: 0,
-                    pruned_at: None,
-                    ok: false,
                     error: Some("internal: point was never evaluated".to_string()),
-                    metrics: None,
-                    pareto: false,
+                    ..PointRecord::for_point(&points[idx])
                 });
                 record.rung = rung_of[idx];
                 record.budget = budget_of[idx];
@@ -992,22 +978,10 @@ fn evaluate_point(
 ) -> PointOutcome {
     let opts = point_options(point, spec, iterations);
     let record = |ok, error, metrics| PointRecord {
-        model: point.model.clone(),
-        mode: point.mode.to_string(),
-        hardware: point.hw_label.clone(),
-        policy: crate::policy_spec_name(point.policy).to_string(),
-        batch: point.batch as u64,
-        seed: point.seed,
-        weight_reload: point.reload.label(),
-        seq_len: point.seq.map(|s| s as u64),
-        quantization: point.quant.map(u64::from),
-        rung: 0,
-        budget: 0,
-        pruned_at: None,
         ok,
         error,
         metrics,
-        pareto: false,
+        ..PointRecord::for_point(point)
     };
 
     // Cache probe: a valid artifact for this exact (hardware, options,

@@ -127,7 +127,7 @@ pub use engine::{
 pub use report::{PointMetrics, PointRecord, SweepDiff, SweepReport, SWEEP_FORMAT_VERSION};
 pub use spec::{
     policy_names, policy_spec_name, AutoHardware, HalvingSpec, HardwareAxis, ReloadSetting,
-    SearchStrategy, SweepPoint, SweepSpec, EXAMPLE_SPEC, MAX_SWEEP_POINTS,
+    SearchStrategy, SweepAxis, SweepPoint, SweepSpec, EXAMPLE_SPEC, MAX_SWEEP_POINTS,
 };
 
 use std::fmt;

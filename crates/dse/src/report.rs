@@ -1,7 +1,7 @@
 //! Versioned sweep reports: per-point records, the Pareto frontier,
 //! JSON/CSV emission, and report-to-report diffs.
 
-use crate::ExploreError;
+use crate::{policy_spec_name, ExploreError, SweepPoint};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
@@ -179,11 +179,34 @@ pub struct PointRecord {
 }
 
 impl PointRecord {
+    /// The record of a not-yet-evaluated `point`: its identity in
+    /// report spelling, rung 0, no budget, no outcome.
+    pub(crate) fn for_point(point: &SweepPoint) -> Self {
+        PointRecord {
+            model: point.model.clone(),
+            mode: point.mode.to_string(),
+            hardware: point.hw_label.clone(),
+            policy: policy_spec_name(point.policy).to_string(),
+            batch: point.batch as u64,
+            seed: point.seed,
+            weight_reload: point.reload.label(),
+            seq_len: point.seq.map(|s| s as u64),
+            quantization: point.quant.map(u64::from),
+            rung: 0,
+            budget: 0,
+            pruned_at: None,
+            ok: false,
+            error: None,
+            metrics: None,
+            pareto: false,
+        }
+    }
+
     /// Stable identity (`model/mode/hardware/policy/bBATCH/seedSEED`),
     /// the key diffs join on. Reload-on points carry a trailing
     /// `/reload-BUDGET` segment, sequence-bound points a trailing
-    /// `/seqN` segment, and quantized points a final `/qB` segment,
-    /// matching [`SweepPoint::key`](crate::SweepPoint::key).
+    /// `/seqN` segment, and quantized points a final `/qB` segment.
+    /// [`SweepPoint::key`] is this key of the point's record.
     pub fn key(&self) -> String {
         let mut key = format!(
             "{}/{}/{}/{}/b{}/seed{}",

@@ -6,7 +6,7 @@
 //! validation rule, and the exact error each malformed shape produces)
 //! lives in `docs/SWEEP_SPEC.md` at the repository root.
 
-use crate::ExploreError;
+use crate::{ExploreError, PointRecord};
 use pimcomp_arch::{preset, preset_names, HardwareConfig, HardwareGrid, PipelineMode};
 use pimcomp_core::{split_stream_seed, ReusePolicy};
 use pimcomp_ir::Graph;
@@ -309,36 +309,70 @@ pub struct SweepPoint {
 }
 
 impl SweepPoint {
-    /// Stable identity of the point inside a report
-    /// (`model/mode/hardware/policy/bBATCH/seedSEED`), the key sweep
-    /// diffs join on. Reload-on points append a `/reload-BUDGET`
-    /// segment (`full` for the full-capacity budget); reload-off
-    /// points keep the historical six-segment form, so keys from
-    /// pre-reload reports still line up in diffs. Sequence-bound
-    /// points likewise append a `/seqN` segment, and quantized points
-    /// a final `/qB` segment; points without those axes stay
-    /// unchanged.
+    /// Stable identity of the point inside a report, the key sweep
+    /// diffs join on: the [`PointRecord::key`] of its record.
     pub fn key(&self) -> String {
-        let mut key = format!(
-            "{}/{}/{}/{}/b{}/seed{}",
-            self.model,
-            self.mode,
-            self.hw_label,
-            policy_spec_name(self.policy),
-            self.batch,
-            self.seed
-        );
-        if self.reload != ReloadSetting::Off {
-            key.push_str("/reload-");
-            key.push_str(&self.reload.label());
+        PointRecord::for_point(self).key()
+    }
+}
+
+/// One sweep axis. [`SweepAxis::ALL`] lists every axis in expansion
+/// order, outermost first; [`SweepSpec::len`], the point expansion and
+/// the `explore` banner all walk that one list, so adding an axis means
+/// adding a variant there, its [`SweepSpec::axis_len`] arm and its
+/// arm in the point expansion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SweepAxis {
+    /// `models`.
+    Models,
+    /// `modes`.
+    Modes,
+    /// `hardware`: explicit or auto-sized configurations.
+    Hardware,
+    /// `memory_policies`.
+    Policies,
+    /// `ht_batches`; low-latency points collapse it to batch 1.
+    Batches,
+    /// `seeds` / `num_seeds`.
+    Seeds,
+    /// `weight_reload`.
+    WeightReload,
+    /// `seq_lens`.
+    SeqLens,
+    /// `quantization`.
+    Quantization,
+}
+
+impl SweepAxis {
+    /// Every axis, in expansion order (outermost first), which is also
+    /// declaration order: `axis as usize` is the axis's position here.
+    /// The order is part of the determinism contract: a point's index
+    /// depends only on the spec.
+    pub const ALL: [SweepAxis; 9] = [
+        SweepAxis::Models,
+        SweepAxis::Modes,
+        SweepAxis::Hardware,
+        SweepAxis::Policies,
+        SweepAxis::Batches,
+        SweepAxis::Seeds,
+        SweepAxis::WeightReload,
+        SweepAxis::SeqLens,
+        SweepAxis::Quantization,
+    ];
+
+    /// The axis's plural noun, as the `explore` banner prints it.
+    pub fn name(self) -> &'static str {
+        match self {
+            SweepAxis::Models => "models",
+            SweepAxis::Modes => "modes",
+            SweepAxis::Hardware => "hardware configs",
+            SweepAxis::Policies => "policies",
+            SweepAxis::Batches => "batches",
+            SweepAxis::Seeds => "seeds",
+            SweepAxis::WeightReload => "reload settings",
+            SweepAxis::SeqLens => "sequence lengths",
+            SweepAxis::Quantization => "quantization settings",
         }
-        if let Some(seq) = self.seq {
-            key.push_str(&format!("/seq{seq}"));
-        }
-        if let Some(q) = self.quant {
-            key.push_str(&format!("/q{q}"));
-        }
-        key
     }
 }
 
@@ -371,14 +405,14 @@ impl SweepSpec {
     ///   (default 16×24, the fast test configuration).
     /// * `memory_policies` — optional non-empty array of
     ///   `"naive"` / `"add"` / `"ag"`, one sweep axis (default
-    ///   `["ag"]`). The scalar `policy` form is still accepted but
-    ///   cannot be combined with the axis.
+    ///   `["ag"]`). The retired scalar `policy` field is rejected
+    ///   with a hint naming this axis.
     /// * `ht_batches` — optional non-empty array of positive HT
     ///   transfer batches, one sweep axis (default `[2]`). Requires an
     ///   `"ht"` entry in `modes`; low-latency points always run
     ///   batch 1, so for LL modes the axis collapses to a single
-    ///   point. The scalar `batch` form is still accepted but cannot
-    ///   be combined with the axis.
+    ///   point. The retired scalar `batch` field is rejected with a
+    ///   hint naming this axis.
     /// * `weight_reload` — optional reload axis (default: off for
     ///   every point). `true` compiles every point in `weight_reload`
     ///   mode at the target's full crossbar capacity; `false` is the
@@ -418,50 +452,49 @@ impl SweepSpec {
     }
 
     fn from_value(value: &Value) -> Result<Self, ExploreError> {
-        let entries = as_object(value, "sweep spec")?;
-        const KNOWN: [&str; 15] = [
-            "master_seed",
-            "models",
-            "modes",
-            "hardware",
-            "seeds",
-            "num_seeds",
-            "ga",
-            "policy",
-            "memory_policies",
-            "batch",
-            "ht_batches",
-            "weight_reload",
-            "seq_lens",
-            "quantization",
-            "search",
-        ];
-        for (key, _) in entries {
-            if !KNOWN.contains(&key.as_str()) {
+        // Retired scalar spellings of two list axes get a migration
+        // hint rather than the generic unknown-field error.
+        for (old, axis) in [("policy", "memory_policies"), ("batch", "ht_batches")] {
+            if let Some(v) = value.get(old) {
                 return Err(invalid(format!(
-                    "unknown field `{key}` (known fields: {})",
-                    KNOWN.join(", ")
+                    "`{old}` was replaced by `{axis}`: write \"{axis}\": [{}]",
+                    serde_json::to_string(v).unwrap_or_default()
                 )));
             }
         }
+        known_fields(
+            value,
+            "sweep spec",
+            "field",
+            &[
+                "master_seed",
+                "models",
+                "modes",
+                "hardware",
+                "seeds",
+                "num_seeds",
+                "ga",
+                "memory_policies",
+                "ht_batches",
+                "weight_reload",
+                "seq_lens",
+                "quantization",
+                "search",
+            ],
+        )?;
 
         let master_seed = match value.get("master_seed") {
             Some(v) => as_u64(v, "master_seed")?,
             None => 1,
         };
 
-        let models = match value.get("models") {
-            Some(Value::Seq(items)) if !items.is_empty() => items
-                .iter()
-                .map(|v| as_string(v, "models entry"))
-                .collect::<Result<Vec<_>, _>>()?,
-            Some(_) | None => {
-                return Err(invalid(
-                    "`models` must be a non-empty array of model names or .onnx paths",
-                ))
-            }
-        };
-        reject_duplicates(&models, "models")?;
+        let models = list_axis(
+            value.get("models"),
+            "models",
+            "`models` must be a non-empty array of model names or .onnx paths",
+            |v| as_string(v, "models entry"),
+            String::clone,
+        )?;
         // Zoo names are validated at parse time so a typo fails with
         // the full list of alternatives; `.onnx` paths are only read
         // when the sweep runs, resolved against the process working
@@ -478,18 +511,14 @@ impl SweepSpec {
 
         let modes = match value.get("modes") {
             None => vec![PipelineMode::HighThroughput],
-            Some(Value::Seq(items)) if !items.is_empty() => items
-                .iter()
-                .map(|v| parse_mode(&as_string(v, "modes entry")?))
-                .collect::<Result<Vec<_>, _>>()?,
-            Some(_) => {
-                return Err(invalid(
-                    "`modes` must be a non-empty array of \"ht\"/\"ll\"",
-                ))
-            }
+            v => list_axis(
+                v,
+                "modes",
+                "`modes` must be a non-empty array of \"ht\"/\"ll\"",
+                |v| parse_mode(&as_string(v, "modes entry")?),
+                PipelineMode::to_string,
+            )?,
         };
-        let mode_names: Vec<String> = modes.iter().map(|m| m.to_string()).collect();
-        reject_duplicates(&mode_names, "modes")?;
 
         let hardware = match value.get("hardware") {
             Some(Value::Str(s)) if s == "auto" => HardwareAxis::Auto(AutoHardware::default()),
@@ -526,13 +555,14 @@ impl SweepSpec {
             (Some(_), Some(_)) => {
                 return Err(invalid("give either `seeds` or `num_seeds`, not both"))
             }
-            (Some(Value::Seq(items)), None) if !items.is_empty() => items
-                .iter()
-                .map(|v| as_u64(v, "seeds entry"))
-                .collect::<Result<Vec<_>, _>>()?,
-            (Some(_), None) => {
-                return Err(invalid("`seeds` must be a non-empty array of integers"))
-            }
+            (Some(v), None) => list_axis(
+                Some(v),
+                "seeds",
+                "`seeds` must be a non-empty array of integers",
+                |v| as_u64(v, "seeds entry"),
+                u64::to_string,
+            )?,
+            // Split seeds never repeat (the split is a bijection).
             (None, num) => {
                 let n = match num {
                     Some(v) => match as_u64(v, "num_seeds")? {
@@ -546,20 +576,11 @@ impl SweepSpec {
                     .collect()
             }
         };
-        let seed_names: Vec<String> = seeds.iter().map(u64::to_string).collect();
-        reject_duplicates(&seed_names, "seeds")?;
 
         let (ga_population, ga_iterations) = match value.get("ga") {
             None => (16, 24),
             Some(v) => {
-                let entries = as_object(v, "`ga`")?;
-                for (key, _) in entries {
-                    if key != "population" && key != "iterations" {
-                        return Err(invalid(format!(
-                            "unknown `ga` field `{key}` (known: population, iterations)"
-                        )));
-                    }
-                }
+                known_fields(v, "`ga`", "`ga` field", &["population", "iterations"])?;
                 let pop = match v.get("population") {
                     Some(p) => as_u64(p, "ga.population")? as usize,
                     None => 16,
@@ -577,127 +598,85 @@ impl SweepSpec {
             }
         };
 
-        let policies = match (value.get("policy"), value.get("memory_policies")) {
-            (Some(_), Some(_)) => {
-                return Err(invalid(
-                    "give either `policy` or `memory_policies`, not both",
-                ))
-            }
-            (Some(v), None) => vec![parse_policy(&as_string(v, "policy")?)?],
-            (None, Some(Value::Seq(items))) if !items.is_empty() => items
-                .iter()
-                .map(|v| parse_policy(&as_string(v, "memory_policies entry")?))
-                .collect::<Result<Vec<_>, _>>()?,
-            (None, Some(_)) => {
-                return Err(invalid(format!(
-                    "`memory_policies` must be a non-empty array of policy names \
-                     ({})",
+        let policies = match value.get("memory_policies") {
+            None => vec![ReusePolicy::AgReuse],
+            v => list_axis(
+                v,
+                "memory_policies",
+                &format!(
+                    "`memory_policies` must be a non-empty array of policy names ({})",
                     policy_names().join(" | ")
-                )))
-            }
-            (None, None) => vec![ReusePolicy::AgReuse],
+                ),
+                |v| parse_policy(&as_string(v, "memory_policies entry")?),
+                |&p| policy_spec_name(p).to_string(),
+            )?,
         };
-        let policy_labels: Vec<String> = policies
-            .iter()
-            .map(|&p| policy_spec_name(p).to_string())
-            .collect();
-        reject_duplicates(&policy_labels, "memory_policies")?;
 
-        let (batch_field, batches) = match (value.get("batch"), value.get("ht_batches")) {
-            (Some(_), Some(_)) => {
-                return Err(invalid("give either `batch` or `ht_batches`, not both"))
-            }
-            (Some(v), None) => {
-                let b = as_u64(v, "batch")? as usize;
-                if b == 0 {
-                    return Err(invalid("`batch` must be at least 1"));
-                }
-                ("batch", vec![b])
-            }
-            (None, Some(Value::Seq(items))) if !items.is_empty() => {
-                let batches: Vec<usize> = items
-                    .iter()
-                    .map(|v| as_u64(v, "ht_batches entry").map(|b| b as usize))
-                    .collect::<Result<Vec<_>, _>>()?;
-                if batches.contains(&0) {
-                    return Err(invalid("`ht_batches` entries must be at least 1"));
-                }
-                ("ht_batches", batches)
-            }
-            (None, Some(_)) => {
-                return Err(invalid(
-                    "`ht_batches` must be a non-empty array of positive integers",
-                ))
-            }
+        let batches = match value.get("ht_batches") {
             // The default is never validated against the modes: an
             // LL-only sweep simply collapses it to batch 1.
-            (None, None) => ("", vec![2]),
+            None => vec![2],
+            v => {
+                let batches = list_axis(
+                    v,
+                    "ht_batches",
+                    "`ht_batches` must be a non-empty array of positive integers",
+                    |v| positive(v, "ht_batches"),
+                    usize::to_string,
+                )?;
+                // An explicit batch above 1 is meaningless without a
+                // high-throughput mode.
+                if batches.iter().any(|&b| b > 1) && !modes.contains(&PipelineMode::HighThroughput)
+                {
+                    return Err(invalid(
+                        "`ht_batches` only applies to high-throughput mode, but `modes` \
+                         contains no \"ht\" (low-latency points always run batch 1)",
+                    ));
+                }
+                batches
+            }
         };
-        // Both spellings of the knob validate identically: an explicit
-        // batch above 1 is meaningless without a high-throughput mode.
-        if !batch_field.is_empty()
-            && batches.iter().any(|&b| b > 1)
-            && !modes.contains(&PipelineMode::HighThroughput)
-        {
-            return Err(invalid(format!(
-                "`{batch_field}` only applies to high-throughput mode, but \
-                 `modes` contains no \"ht\" (low-latency points always run batch 1)"
-            )));
-        }
-        let batch_names: Vec<String> = batches.iter().map(usize::to_string).collect();
-        reject_duplicates(&batch_names, "ht_batches")?;
 
         let weight_reload = match value.get("weight_reload") {
             None => vec![ReloadSetting::Off],
             Some(v) => parse_reload(v)?,
         };
 
-        let seq_lens: Vec<Option<usize>> = match value.get("seq_lens") {
+        const SEQ_LENS: &str = "`seq_lens` must be a non-empty array of positive integers";
+        let seq_lens = match value.get("seq_lens") {
             None => vec![None],
-            Some(Value::Seq(items)) if !items.is_empty() => {
-                let lens: Vec<usize> = items
-                    .iter()
-                    .map(|v| as_u64(v, "seq_lens entry").map(|s| s as usize))
-                    .collect::<Result<Vec<_>, _>>()?;
-                if lens.contains(&0) {
-                    return Err(invalid(
-                        "`seq_lens` must be a non-empty array of positive integers",
-                    ));
-                }
-                let len_names: Vec<String> = lens.iter().map(usize::to_string).collect();
-                reject_duplicates(&len_names, "seq_lens")?;
-                lens.into_iter().map(Some).collect()
-            }
-            Some(_) => {
-                return Err(invalid(
-                    "`seq_lens` must be a non-empty array of positive integers",
-                ))
-            }
+            v => list_axis(
+                v,
+                "seq_lens",
+                SEQ_LENS,
+                |v| match as_usize(v, "seq_lens entry")? {
+                    0 => Err(invalid(SEQ_LENS)),
+                    n => Ok(n),
+                },
+                usize::to_string,
+            )?
+            .into_iter()
+            .map(Some)
+            .collect(),
         };
 
-        let quantization: Vec<Option<u32>> = match value.get("quantization") {
+        const QUANTIZATION: &str =
+            "`quantization` must be a non-empty array of integer ADC bit-widths in 0..=32";
+        let quantization = match value.get("quantization") {
             None => vec![None],
-            Some(Value::Seq(items)) if !items.is_empty() => {
-                let bits: Vec<u64> = items
-                    .iter()
-                    .map(|v| as_u64(v, "quantization entry"))
-                    .collect::<Result<Vec<_>, _>>()?;
-                if bits.iter().any(|&b| b > 32) {
-                    return Err(invalid(
-                        "`quantization` must be a non-empty array of integer ADC bit-widths \
-                         in 0..=32",
-                    ));
-                }
-                let bit_names: Vec<String> = bits.iter().map(u64::to_string).collect();
-                reject_duplicates(&bit_names, "quantization")?;
-                bits.into_iter().map(|b| Some(b as u32)).collect()
-            }
-            Some(_) => {
-                return Err(invalid(
-                    "`quantization` must be a non-empty array of integer ADC bit-widths \
-                     in 0..=32",
-                ))
-            }
+            v => list_axis(
+                v,
+                "quantization",
+                QUANTIZATION,
+                |v| match as_u64(v, "quantization entry")? {
+                    b @ 0..=32 => Ok(b as u32),
+                    _ => Err(invalid(QUANTIZATION)),
+                },
+                u32::to_string,
+            )?
+            .into_iter()
+            .map(Some)
+            .collect(),
         };
 
         let search = match value.get("search") {
@@ -720,42 +699,64 @@ impl SweepSpec {
             quantization,
             search,
         };
-        // Cheap structural checks at parse time: oversized or empty
-        // sweeps are rejected before any model is loaded or sized
-        // (`len` never touches the filesystem, unlike `points` for
-        // `.onnx` models or auto hardware).
-        if spec.is_empty() {
-            return Err(invalid("sweep has no points (an axis is empty)"));
-        }
-        if spec.len() > MAX_SWEEP_POINTS {
-            return Err(invalid(format!(
-                "sweep expands to {} points, more than the {MAX_SWEEP_POINTS} cap",
-                spec.len()
-            )));
-        }
+        // Oversized or empty sweeps are rejected before any model is
+        // loaded or sized.
+        spec.check_size()?;
         Ok(spec)
     }
 
-    /// Number of points the sweep expands to. Low-latency modes
-    /// contribute one point per (model, hardware, policy, seed)
-    /// regardless of the batch axis — LL always runs batch 1, so the
-    /// axis collapses rather than duplicating identical points.
+    /// Rejects a sweep with no points or more than [`MAX_SWEEP_POINTS`]
+    /// (cheap: `len` never touches the filesystem, unlike `points` for
+    /// `.onnx` models or auto hardware).
+    fn check_size(&self) -> Result<(), ExploreError> {
+        match self.len() {
+            0 => Err(invalid("sweep has no points (an axis is empty)")),
+            n if n > MAX_SWEEP_POINTS => Err(invalid(format!(
+                "sweep expands to {n} points, more than the {MAX_SWEEP_POINTS} cap"
+            ))),
+            _ => Ok(()),
+        }
+    }
+
+    /// Values `axis` takes among the points of pipeline mode `mode`.
+    /// Only the batch axis depends on the mode: low-latency points
+    /// always run batch 1, so for them it collapses to one value rather
+    /// than duplicating identical points.
+    pub fn axis_len(&self, axis: SweepAxis, mode: PipelineMode) -> usize {
+        match axis {
+            SweepAxis::Models => self.models.len(),
+            SweepAxis::Modes => self.modes.len(),
+            SweepAxis::Hardware => self.hardware.len(),
+            SweepAxis::Policies => self.policies.len(),
+            SweepAxis::Batches => self.batches_for(mode).len(),
+            SweepAxis::Seeds => self.seeds.len(),
+            SweepAxis::WeightReload => self.weight_reload.len(),
+            SweepAxis::SeqLens => self.seq_lens.len(),
+            SweepAxis::Quantization => self.quantization.len(),
+        }
+    }
+
+    /// The HT transfer batches a point of `mode` sweeps.
+    fn batches_for(&self, mode: PipelineMode) -> &[usize] {
+        match mode {
+            PipelineMode::HighThroughput => &self.batches,
+            PipelineMode::LowLatency => &[1],
+        }
+    }
+
+    /// Number of points the sweep expands to: per mode, the product of
+    /// every other axis's length at that mode, summed over the modes.
     pub fn len(&self) -> usize {
-        let ht_modes = self
-            .modes
+        self.modes
             .iter()
-            .filter(|&&m| m == PipelineMode::HighThroughput)
-            .count();
-        let ll_modes = self.modes.len() - ht_modes;
-        let mode_batches = ht_modes * self.batches.len() + ll_modes;
-        self.models.len()
-            * self.hardware.len()
-            * self.policies.len()
-            * mode_batches
-            * self.seeds.len()
-            * self.weight_reload.len()
-            * self.seq_lens.len()
-            * self.quantization.len()
+            .map(|&mode| {
+                SweepAxis::ALL
+                    .iter()
+                    .filter(|&&axis| axis != SweepAxis::Modes)
+                    .map(|&axis| self.axis_len(axis, mode))
+                    .product::<usize>()
+            })
+            .sum()
     }
 
     /// `true` when any axis is empty (the sweep has no points).
@@ -763,13 +764,10 @@ impl SweepSpec {
         self.len() == 0
     }
 
-    /// Expands the cross-product into points, in the fixed axis order
-    /// models → modes → hardware → policies → batches → seeds →
-    /// weight_reload → seq_lens → quantization. The order is part of
-    /// the determinism
-    /// contract:
-    /// point index, and hence any master-seed derived quantity,
-    /// depends only on the spec.
+    /// Expands the cross-product into points, in [`SweepAxis::ALL`]
+    /// order (models outermost, quantization innermost). The order is
+    /// part of the determinism contract: point index, and hence any
+    /// master-seed derived quantity, depends only on the spec.
     ///
     /// With `hardware: "auto"` this resolves every model (loading
     /// `.onnx` paths from disk) to size its configurations; the engine
@@ -804,15 +802,7 @@ impl SweepSpec {
     ///
     /// [`ExploreError::InvalidSpec`] as for [`SweepSpec::points`].
     pub fn points_for(&self, graphs: &[Graph]) -> Result<Vec<SweepPoint>, ExploreError> {
-        if self.is_empty() {
-            return Err(invalid("sweep has no points (an axis is empty)"));
-        }
-        if self.len() > MAX_SWEEP_POINTS {
-            return Err(invalid(format!(
-                "sweep expands to {} points, more than the {MAX_SWEEP_POINTS} cap",
-                self.len()
-            )));
-        }
+        self.check_size()?;
         if self.hardware.is_auto() && graphs.len() != self.models.len() {
             return Err(invalid(format!(
                 "auto hardware sizing needs one resolved graph per model \
@@ -821,55 +811,56 @@ impl SweepSpec {
                 graphs.len()
             )));
         }
+        // A mixed-radix counter over `SweepAxis::ALL`, innermost digit
+        // fastest: `digits[axis as usize]` picks the axis's value. Radices
+        // depend on the mode only through the batch axis.
+        let max_seq = self.seq_lens.iter().flatten().max().copied();
+        let size = |model: usize| match &self.hardware {
+            HardwareAxis::Explicit(_) => Ok(Vec::new()),
+            HardwareAxis::Auto(auto) => {
+                sized_hardware(auto, &self.models[model], &graphs[model], max_seq)
+            }
+        };
+        let mut sized = size(0)?;
+        let radices = [PipelineMode::HighThroughput, PipelineMode::LowLatency]
+            .map(|mode| SweepAxis::ALL.map(|axis| self.axis_len(axis, mode)));
+        // Axes past the last one with several values never advance.
+        let last = (0..SweepAxis::ALL.len())
+            .rposition(|k| radices.iter().any(|r| r[k] > 1))
+            .map_or(0, |k| k + 1);
+        let mut digits = [0; SweepAxis::ALL.len()];
         let mut out = Vec::with_capacity(self.len());
-        for (mi, model) in self.models.iter().enumerate() {
-            // Explicit configurations are shared by every model —
-            // borrow them; only auto sizing builds a per-model list.
-            let sized;
-            let hw_list: &[(String, HardwareConfig)] = match &self.hardware {
-                HardwareAxis::Explicit(list) => list,
-                HardwareAxis::Auto(auto) => {
-                    let max_seq = self.seq_lens.iter().flatten().max().copied();
-                    sized = sized_hardware(auto, model, &graphs[mi], max_seq)?;
-                    &sized
-                }
+        loop {
+            let at = |axis: SweepAxis| digits[axis as usize];
+            let mode = self.modes[at(SweepAxis::Modes)];
+            let (hw_label, hw) = match &self.hardware {
+                HardwareAxis::Explicit(list) => &list[at(SweepAxis::Hardware)],
+                HardwareAxis::Auto(_) => &sized[at(SweepAxis::Hardware)],
             };
-            for &mode in &self.modes {
-                let batches: &[usize] = match mode {
-                    PipelineMode::HighThroughput => &self.batches,
-                    // LL always runs batch 1; the axis collapses so the
-                    // grid never holds two identical LL points.
-                    PipelineMode::LowLatency => &[1],
-                };
-                for (label, hw) in hw_list {
-                    for &policy in &self.policies {
-                        for &batch in batches {
-                            for &seed in &self.seeds {
-                                for &reload in &self.weight_reload {
-                                    for &seq in &self.seq_lens {
-                                        for &quant in &self.quantization {
-                                            out.push(SweepPoint {
-                                                model: model.clone(),
-                                                mode,
-                                                hw_label: label.clone(),
-                                                hw: hw.clone(),
-                                                policy,
-                                                batch,
-                                                seed,
-                                                reload,
-                                                seq,
-                                                quant,
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+            out.push(SweepPoint {
+                model: self.models[at(SweepAxis::Models)].clone(),
+                mode,
+                hw_label: hw_label.clone(),
+                hw: hw.clone(),
+                policy: self.policies[at(SweepAxis::Policies)],
+                batch: self.batches_for(mode)[at(SweepAxis::Batches)],
+                seed: self.seeds[at(SweepAxis::Seeds)],
+                reload: self.weight_reload[at(SweepAxis::WeightReload)],
+                seq: self.seq_lens[at(SweepAxis::SeqLens)],
+                quant: self.quantization[at(SweepAxis::Quantization)],
+            });
+            // Advance the innermost digit that has room; every digit
+            // inside it wraps to 0. No digit with room ends the walk.
+            let radix = &radices[(mode == PipelineMode::LowLatency) as usize];
+            let Some(k) = (0..last).rev().find(|&k| digits[k] + 1 < radix[k]) else {
+                return Ok(out);
+            };
+            digits[k] += 1;
+            digits[k + 1..last].fill(0);
+            if k == SweepAxis::Models as usize {
+                sized = size(digits[k])?;
             }
         }
-        Ok(out)
     }
 }
 
@@ -942,6 +933,27 @@ fn as_object<'a>(v: &'a Value, ctx: &str) -> Result<&'a [(String, Value)], Explo
     }
 }
 
+/// `v` as an object whose keys all appear in `known`; any other key is
+/// an "unknown {what} `KEY` (known fields: ...)" error.
+fn known_fields<'a>(
+    v: &'a Value,
+    ctx: &str,
+    what: &str,
+    known: &[&str],
+) -> Result<&'a [(String, Value)], ExploreError> {
+    let entries = as_object(v, ctx)?;
+    match entries
+        .iter()
+        .find(|(key, _)| !known.contains(&key.as_str()))
+    {
+        Some((key, _)) => Err(invalid(format!(
+            "unknown {what} `{key}` (known fields: {})",
+            known.join(", ")
+        ))),
+        None => Ok(entries),
+    }
+}
+
 fn as_string(v: &Value, ctx: &str) -> Result<String, ExploreError> {
     match v {
         Value::Str(s) => Ok(s.clone()),
@@ -974,28 +986,20 @@ fn as_f64(v: &Value, ctx: &str) -> Result<f64, ExploreError> {
     }
 }
 
-/// Accepts a scalar or an array for a grid axis.
-fn usize_axis(v: &Value, ctx: &str) -> Result<Vec<usize>, ExploreError> {
-    match v {
-        Value::Seq(items) => items
-            .iter()
-            .map(|i| as_u64(i, ctx).map(|n| n as usize))
-            .collect(),
-        scalar => Ok(vec![as_u64(scalar, ctx)? as usize]),
-    }
+fn as_usize(v: &Value, ctx: &str) -> Result<usize, ExploreError> {
+    as_u64(v, ctx).map(|n| n as usize)
 }
 
-fn u64_axis(v: &Value, ctx: &str) -> Result<Vec<u64>, ExploreError> {
+/// Accepts a scalar or an array for a grid axis, parsing each value
+/// with `parse`.
+fn scalar_or_list<T>(
+    v: &Value,
+    ctx: &str,
+    parse: fn(&Value, &str) -> Result<T, ExploreError>,
+) -> Result<Vec<T>, ExploreError> {
     match v {
-        Value::Seq(items) => items.iter().map(|i| as_u64(i, ctx)).collect(),
-        scalar => Ok(vec![as_u64(scalar, ctx)?]),
-    }
-}
-
-fn f64_axis(v: &Value, ctx: &str) -> Result<Vec<f64>, ExploreError> {
-    match v {
-        Value::Seq(items) => items.iter().map(|i| as_f64(i, ctx)).collect(),
-        scalar => Ok(vec![as_f64(scalar, ctx)?]),
+        Value::Seq(items) => items.iter().map(|i| parse(i, ctx)).collect(),
+        scalar => Ok(vec![parse(scalar, ctx)?]),
     }
 }
 
@@ -1022,24 +1026,16 @@ fn parse_policy(s: &str) -> Result<ReusePolicy, ExploreError> {
 }
 
 fn parse_auto(v: &Value) -> Result<AutoHardware, ExploreError> {
-    let entries = as_object(v, "hardware")?;
-    const KNOWN: [&str; 4] = ["auto", "base", "parallelism", "headroom"];
-    for (key, _) in entries {
-        if !KNOWN.contains(&key.as_str()) {
-            return Err(invalid(format!(
-                "unknown auto-hardware field `{key}` (known fields: {})",
-                KNOWN.join(", ")
-            )));
-        }
-    }
-    match v.get("auto") {
-        Some(Value::Bool(true)) => {}
-        Some(_) => {
-            return Err(invalid(
-                "`hardware.auto` must be `true` (remove the key for an explicit grid)",
-            ))
-        }
-        None => unreachable!("parse_auto is only called when `auto` is present"),
+    known_fields(
+        v,
+        "hardware",
+        "auto-hardware field",
+        &["auto", "base", "parallelism", "headroom"],
+    )?;
+    if v.get("auto") != Some(&Value::Bool(true)) {
+        return Err(invalid(
+            "`hardware.auto` must be `true` (remove the key for an explicit grid)",
+        ));
     }
     let base = match v.get("base") {
         Some(b) => as_string(b, "hardware.base")?,
@@ -1053,7 +1049,7 @@ fn parse_auto(v: &Value) -> Result<AutoHardware, ExploreError> {
     }
     let parallelism = match v.get("parallelism") {
         Some(axis) => {
-            let p = usize_axis(axis, "hardware.parallelism")?;
+            let p = scalar_or_list(axis, "hardware.parallelism", as_usize)?;
             if p.is_empty() || p.contains(&0) {
                 return Err(invalid(
                     "`hardware.parallelism` must be a non-empty list of positive degrees",
@@ -1080,55 +1076,41 @@ fn parse_auto(v: &Value) -> Result<AutoHardware, ExploreError> {
 }
 
 fn parse_grid(v: &Value) -> Result<Vec<(String, HardwareConfig)>, ExploreError> {
-    let entries = as_object(v, "hardware grid")?;
-    const KNOWN: [&str; 9] = [
-        "base",
-        "chips",
-        "cores_per_chip",
-        "crossbars_per_core",
-        "crossbar_size",
-        "parallelism",
-        "local_memory_kb",
-        "mvm_latency",
-        "noc_link_bw",
-    ];
-    for (key, _) in entries {
-        if !KNOWN.contains(&key.as_str()) {
-            return Err(invalid(format!(
-                "unknown hardware field `{key}` (known fields: {})",
-                KNOWN.join(", ")
-            )));
-        }
-    }
+    let entries = known_fields(
+        v,
+        "hardware grid",
+        "hardware field",
+        &[
+            "base",
+            "chips",
+            "cores_per_chip",
+            "crossbars_per_core",
+            "crossbar_size",
+            "parallelism",
+            "local_memory_kb",
+            "mvm_latency",
+            "noc_link_bw",
+        ],
+    )?;
     let base = match v.get("base") {
         Some(b) => as_string(b, "hardware.base")?,
         None => "puma".to_string(),
     };
     let mut grid =
         HardwareGrid::over_preset(&base).map_err(|e| invalid(format!("hardware.base: {e}")))?;
-    if let Some(axis) = v.get("chips") {
-        grid.chips = usize_axis(axis, "hardware.chips")?;
-    }
-    if let Some(axis) = v.get("cores_per_chip") {
-        grid.cores_per_chip = usize_axis(axis, "hardware.cores_per_chip")?;
-    }
-    if let Some(axis) = v.get("crossbars_per_core") {
-        grid.crossbars_per_core = usize_axis(axis, "hardware.crossbars_per_core")?;
-    }
-    if let Some(axis) = v.get("crossbar_size") {
-        grid.crossbar_size = usize_axis(axis, "hardware.crossbar_size")?;
-    }
-    if let Some(axis) = v.get("parallelism") {
-        grid.parallelism = usize_axis(axis, "hardware.parallelism")?;
-    }
-    if let Some(axis) = v.get("local_memory_kb") {
-        grid.local_memory_kb = usize_axis(axis, "hardware.local_memory_kb")?;
-    }
-    if let Some(axis) = v.get("mvm_latency") {
-        grid.mvm_latency = u64_axis(axis, "hardware.mvm_latency")?;
-    }
-    if let Some(axis) = v.get("noc_link_bw") {
-        grid.noc_link_bw = f64_axis(axis, "hardware.noc_link_bw")?;
+    for (key, axis) in entries {
+        let ctx = &format!("hardware.{key}");
+        match key.as_str() {
+            "chips" => grid.chips = scalar_or_list(axis, ctx, as_usize)?,
+            "cores_per_chip" => grid.cores_per_chip = scalar_or_list(axis, ctx, as_usize)?,
+            "crossbars_per_core" => grid.crossbars_per_core = scalar_or_list(axis, ctx, as_usize)?,
+            "crossbar_size" => grid.crossbar_size = scalar_or_list(axis, ctx, as_usize)?,
+            "parallelism" => grid.parallelism = scalar_or_list(axis, ctx, as_usize)?,
+            "local_memory_kb" => grid.local_memory_kb = scalar_or_list(axis, ctx, as_usize)?,
+            "mvm_latency" => grid.mvm_latency = scalar_or_list(axis, ctx, as_u64)?,
+            "noc_link_bw" => grid.noc_link_bw = scalar_or_list(axis, ctx, as_f64)?,
+            _ => {} // `base`, read above
+        }
     }
     grid.enumerate()
         .map_err(|e| invalid(format!("hardware grid: {e}")))
@@ -1138,35 +1120,20 @@ fn parse_reload(v: &Value) -> Result<Vec<ReloadSetting>, ExploreError> {
     match v {
         Value::Bool(false) => Ok(vec![ReloadSetting::Off]),
         Value::Bool(true) => Ok(vec![ReloadSetting::On(None)]),
-        Value::Map(entries) => {
-            const KNOWN: [&str; 2] = ["budgets", "include_off"];
-            for (key, _) in entries {
-                if !KNOWN.contains(&key.as_str()) {
-                    return Err(invalid(format!(
-                        "unknown `weight_reload` field `{key}` (known fields: {})",
-                        KNOWN.join(", ")
-                    )));
-                }
-            }
-            let budgets: Vec<usize> = match v.get("budgets") {
-                Some(Value::Seq(items)) if !items.is_empty() => items
-                    .iter()
-                    .map(|b| as_u64(b, "weight_reload.budgets entry").map(|b| b as usize))
-                    .collect::<Result<_, _>>()?,
-                Some(_) | None => {
-                    return Err(invalid(
-                        "`weight_reload.budgets` must be a non-empty array of \
-                         positive crossbar budgets",
-                    ))
-                }
-            };
-            if budgets.contains(&0) {
-                return Err(invalid(
-                    "`weight_reload.budgets` entries must be at least 1",
-                ));
-            }
-            let names: Vec<String> = budgets.iter().map(usize::to_string).collect();
-            reject_duplicates(&names, "weight_reload.budgets")?;
+        Value::Map(_) => {
+            known_fields(
+                v,
+                "`weight_reload`",
+                "`weight_reload` field",
+                &["budgets", "include_off"],
+            )?;
+            let budgets = list_axis(
+                v.get("budgets"),
+                "weight_reload.budgets",
+                "`weight_reload.budgets` must be a non-empty array of positive crossbar budgets",
+                |b| positive(b, "weight_reload.budgets"),
+                usize::to_string,
+            )?;
             let include_off = match v.get("include_off") {
                 None => false,
                 Some(Value::Bool(b)) => *b,
@@ -1193,16 +1160,12 @@ fn parse_reload(v: &Value) -> Result<Vec<ReloadSetting>, ExploreError> {
 }
 
 fn parse_search(v: &Value, ga_iterations: usize) -> Result<SearchStrategy, ExploreError> {
-    let entries = as_object(v, "`search`")?;
-    const KNOWN: [&str; 4] = ["strategy", "rungs", "keep_fraction", "prune_margin"];
-    for (key, _) in entries {
-        if !KNOWN.contains(&key.as_str()) {
-            return Err(invalid(format!(
-                "unknown `search` field `{key}` (known fields: {})",
-                KNOWN.join(", ")
-            )));
-        }
-    }
+    known_fields(
+        v,
+        "`search`",
+        "`search` field",
+        &["strategy", "rungs", "keep_fraction", "prune_margin"],
+    )?;
     let strategy = match v.get("strategy") {
         Some(s) => as_string(s, "search.strategy")?,
         None => {
@@ -1226,10 +1189,7 @@ fn parse_search(v: &Value, ga_iterations: usize) -> Result<SearchStrategy, Explo
             let rungs = match v.get("rungs") {
                 None => HalvingSpec::default_rungs(ga_iterations),
                 Some(axis) => {
-                    let rungs: Vec<usize> = u64_axis(axis, "search.rungs")?
-                        .into_iter()
-                        .map(|b| b as usize)
-                        .collect();
+                    let rungs = scalar_or_list(axis, "search.rungs", as_usize)?;
                     if rungs.is_empty() || rungs[0] == 0 {
                         return Err(invalid(
                             "`search.rungs` must be a non-empty array of positive \
@@ -1276,6 +1236,35 @@ fn parse_search(v: &Value, ga_iterations: usize) -> Result<SearchStrategy, Explo
     }
 }
 
+/// The shape every list-valued spec field shares: `value` must be a
+/// non-empty array (otherwise the error is the field's `shape` text),
+/// each entry parses through `entry`, and no two entries may share a
+/// `label` ("duplicate entry `LABEL` in FIELD").
+fn list_axis<T>(
+    value: Option<&Value>,
+    field: &str,
+    shape: &str,
+    entry: impl Fn(&Value) -> Result<T, ExploreError>,
+    label: impl Fn(&T) -> String,
+) -> Result<Vec<T>, ExploreError> {
+    let items = match value {
+        Some(Value::Seq(items)) if !items.is_empty() => items,
+        _ => return Err(invalid(shape)),
+    };
+    let parsed = items.iter().map(entry).collect::<Result<Vec<T>, _>>()?;
+    let labels: Vec<String> = parsed.iter().map(label).collect();
+    reject_duplicates(&labels, field)?;
+    Ok(parsed)
+}
+
+/// An entry of list field `field` that must be an integer of at least 1.
+fn positive(v: &Value, field: &str) -> Result<usize, ExploreError> {
+    match as_usize(v, &format!("{field} entry"))? {
+        0 => Err(invalid(format!("`{field}` entries must be at least 1"))),
+        n => Ok(n),
+    }
+}
+
 fn reject_duplicates(items: &[String], what: &str) -> Result<(), ExploreError> {
     let mut seen = std::collections::HashSet::new();
     for item in items {
@@ -1305,6 +1294,13 @@ mod tests {
             points[0].key(),
             "tiny_cnn/HT/small_test+chips1+par4/ag/b2/seed1"
         );
+    }
+
+    #[test]
+    fn axis_positions_follow_declaration_order() {
+        for (k, axis) in SweepAxis::ALL.into_iter().enumerate() {
+            assert_eq!(axis as usize, k, "{axis:?}");
+        }
     }
 
     #[test]
@@ -1362,10 +1358,6 @@ mod tests {
                 "must be positive",
             ),
             (
-                r#"{"models":["tiny_mlp"],"hardware":{},"batch":0}"#,
-                "`batch`",
-            ),
-            (
                 r#"{"models":["tiny_mlp"],"hardware":{},"num_seeds":0}"#,
                 "`num_seeds` must be at least 1",
             ),
@@ -1400,11 +1392,6 @@ mod tests {
                 "duplicate entry `ag` in memory_policies",
             ),
             (
-                r#"{"models":["tiny_mlp"],"hardware":{},
-                    "policy":"ag","memory_policies":["naive"]}"#,
-                "either `policy` or `memory_policies`",
-            ),
-            (
                 r#"{"models":["tiny_mlp"],"hardware":{},"ht_batches":[]}"#,
                 "`ht_batches` must be a non-empty array",
             ),
@@ -1417,19 +1404,9 @@ mod tests {
                 "duplicate entry `2` in ht_batches",
             ),
             (
-                r#"{"models":["tiny_mlp"],"hardware":{},
-                    "batch":2,"ht_batches":[1,2]}"#,
-                "either `batch` or `ht_batches`",
-            ),
-            (
                 r#"{"models":["tiny_mlp"],"hardware":{},"modes":["ll"],
                     "ht_batches":[1,2]}"#,
                 "`ht_batches` only applies to high-throughput mode",
-            ),
-            (
-                r#"{"models":["tiny_mlp"],"hardware":{},"modes":["ll"],
-                    "batch":4}"#,
-                "`batch` only applies to high-throughput mode",
             ),
             (
                 r#"{"models":["tiny_mlp"],"hardware":"automatic"}"#,
@@ -1638,13 +1615,37 @@ mod tests {
             .iter()
             .filter(|p| p.mode == PipelineMode::LowLatency)
             .all(|p| p.batch == 1));
-        // An explicit batch of 1 is harmless without an HT mode (both
-        // spellings); only values above 1 require one.
-        for json in [
-            r#"{"models":["tiny_mlp"],"hardware":{},"modes":["ll"],"ht_batches":[1]}"#,
-            r#"{"models":["tiny_mlp"],"hardware":{},"modes":["ll"],"batch":1}"#,
+        // An explicit batch of 1 is harmless without an HT mode; only
+        // values above 1 require one.
+        let json = r#"{"models":["tiny_mlp"],"hardware":{},"modes":["ll"],"ht_batches":[1]}"#;
+        assert_eq!(SweepSpec::from_json(json).unwrap().batches, vec![1]);
+    }
+
+    #[test]
+    fn retired_scalar_fields_are_migration_errors() {
+        for (json, expected) in [
+            (
+                r#"{"models":["tiny_mlp"],"hardware":{},"policy":"ag"}"#,
+                r#"`policy` was replaced by `memory_policies`: write "memory_policies": ["ag"]"#,
+            ),
+            (
+                r#"{"models":["tiny_mlp"],"hardware":{},
+                    "policy":"naive","memory_policies":["ag"]}"#,
+                r#"`policy` was replaced by `memory_policies`: write "memory_policies": ["naive"]"#,
+            ),
+            (
+                r#"{"models":["tiny_mlp"],"hardware":{},"batch":4}"#,
+                r#"`batch` was replaced by `ht_batches`: write "ht_batches": [4]"#,
+            ),
+            (
+                r#"{"models":["tiny_mlp"],"hardware":{},"modes":["ll"],"batch":0}"#,
+                r#"`batch` was replaced by `ht_batches`: write "ht_batches": [0]"#,
+            ),
         ] {
-            assert_eq!(SweepSpec::from_json(json).unwrap().batches, vec![1]);
+            match SweepSpec::from_json(json).unwrap_err() {
+                ExploreError::InvalidSpec { detail } => assert_eq!(detail, expected),
+                other => panic!("spec {json}: expected InvalidSpec, got {other:?}"),
+            }
         }
     }
 

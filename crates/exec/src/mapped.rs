@@ -59,17 +59,13 @@ impl<'a> MappedBackend<'a> {
                 detail: e.to_string(),
             })?;
         }
+        model
+            .check_coverage()
+            .map_err(|e| ExecError::MappingIncomplete {
+                detail: e.to_string(),
+            })?;
         let entries = model.partitioning.entries();
         let counts = model.mapping.replication.counts();
-        if counts.len() != entries.len() {
-            return Err(ExecError::MappingIncomplete {
-                detail: format!(
-                    "replication plan covers {} nodes, partitioning has {}",
-                    counts.len(),
-                    entries.len()
-                ),
-            });
-        }
         let total_cores = model.hw.total_cores();
         let hx = model.hw.crossbar_rows;
         let wcc = model.hw.weight_cols_per_crossbar();

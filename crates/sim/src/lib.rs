@@ -82,6 +82,12 @@ pub enum SimError {
         /// Diagnostic description.
         detail: String,
     },
+    /// The compiled model's parts disagree with each other (a truncated
+    /// or tampered artifact), so it cannot be simulated.
+    InvalidModel {
+        /// Diagnostic description.
+        detail: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -93,6 +99,7 @@ impl fmt::Display for SimError {
             SimError::HardwareMismatch { detail } => {
                 write!(f, "artifact/simulator hardware mismatch: {detail}")
             }
+            SimError::InvalidModel { detail } => write!(f, "invalid compiled model: {detail}"),
         }
     }
 }
@@ -139,10 +146,17 @@ impl Simulator {
     ///
     /// # Errors
     ///
+    /// [`SimError::InvalidModel`] when the model's mapping does not
+    /// cover its partitioning ([`CompiledModel::check_coverage`]);
     /// [`SimError::Diverged`] / [`SimError::Deadlock`] indicate a
     /// schedule that cannot complete (these are asserted against in the
     /// test suite and indicate compiler bugs).
     pub fn run(&self, compiled: &CompiledModel) -> Result<SimReport, SimError> {
+        compiled
+            .check_coverage()
+            .map_err(|e| SimError::InvalidModel {
+                detail: e.to_string(),
+            })?;
         debug_assert_eq!(
             self.hw, compiled.hw,
             "simulator and compilation should target the same hardware"
@@ -196,15 +210,19 @@ impl Simulator {
 mod tests {
     use super::*;
     use pimcomp_arch::PipelineMode;
-    use pimcomp_core::{CompileOptions, PimCompiler, PumaCompiler, ReusePolicy};
+    use pimcomp_core::{CompileOptions, CompileSession, PumaCompiler, ReusePolicy};
     use pimcomp_ir::models;
 
     fn sim(mode: PipelineMode, seed: u64) -> SimReport {
         let graph = models::tiny_cnn();
         let hw = HardwareConfig::small_test();
-        let compiled = PimCompiler::new(hw.clone())
-            .compile(&graph, &CompileOptions::new(mode).with_fast_ga(seed))
-            .unwrap();
+        let compiled = CompileSession::new(
+            hw.clone(),
+            &graph,
+            CompileOptions::new(mode).with_fast_ga(seed),
+        )
+        .and_then(CompileSession::run)
+        .unwrap();
         Simulator::new(hw).run(&compiled).unwrap()
     }
 
@@ -215,9 +233,13 @@ mod tests {
         let compiled: Vec<_> = [PipelineMode::HighThroughput, PipelineMode::LowLatency]
             .into_iter()
             .map(|mode| {
-                PimCompiler::new(hw.clone())
-                    .compile(&graph, &CompileOptions::new(mode).with_fast_ga(3))
-                    .unwrap()
+                CompileSession::new(
+                    hw.clone(),
+                    &graph,
+                    CompileOptions::new(mode).with_fast_ga(3),
+                )
+                .and_then(CompileSession::run)
+                .unwrap()
             })
             .collect();
         let sim = Simulator::new(hw);
@@ -260,12 +282,13 @@ mod tests {
         // total under the strided assignment).
         let graph = models::tiny_cnn();
         let hw = HardwareConfig::small_test();
-        let compiled = PimCompiler::new(hw.clone())
-            .compile(
-                &graph,
-                &CompileOptions::new(PipelineMode::LowLatency).with_fast_ga(5),
-            )
-            .unwrap();
+        let compiled = CompileSession::new(
+            hw.clone(),
+            &graph,
+            CompileOptions::new(PipelineMode::LowLatency).with_fast_ga(5),
+        )
+        .and_then(CompileSession::run)
+        .unwrap();
         let r = Simulator::new(hw).run(&compiled).unwrap();
         let expect: usize = compiled
             .partitioning
@@ -298,7 +321,9 @@ mod tests {
                 iterations: 80,
                 ..pimcomp_core::GaParams::fast(9)
             });
-        let ours = PimCompiler::new(hw.clone()).compile(&graph, &opts).unwrap();
+        let ours = CompileSession::new(hw.clone(), &graph, opts.clone())
+            .and_then(CompileSession::run)
+            .unwrap();
         let base = PumaCompiler::new(hw.clone())
             .compile(&graph, &opts)
             .unwrap();
@@ -325,12 +350,13 @@ mod tests {
         let mut prev = u64::MAX;
         for par in [1, 4, 16] {
             let hw = HardwareConfig::small_test().with_parallelism(par);
-            let compiled = PimCompiler::new(hw.clone())
-                .compile(
-                    &graph,
-                    &CompileOptions::new(PipelineMode::HighThroughput).with_fast_ga(13),
-                )
-                .unwrap();
+            let compiled = CompileSession::new(
+                hw.clone(),
+                &graph,
+                CompileOptions::new(PipelineMode::HighThroughput).with_fast_ga(13),
+            )
+            .and_then(CompileSession::run)
+            .unwrap();
             let r = Simulator::new(hw).run(&compiled).unwrap();
             assert!(
                 r.total_cycles <= prev,
@@ -347,14 +373,15 @@ mod tests {
         let mut hw = HardwareConfig::small_test();
         hw.local_memory_bytes = 2 * 1024; // force spills for naive
         let mk = |policy| {
-            let compiled = PimCompiler::new(hw.clone())
-                .compile(
-                    &graph,
-                    &CompileOptions::new(PipelineMode::HighThroughput)
-                        .with_fast_ga(21)
-                        .with_policy(policy),
-                )
-                .unwrap();
+            let compiled = CompileSession::new(
+                hw.clone(),
+                &graph,
+                CompileOptions::new(PipelineMode::HighThroughput)
+                    .with_fast_ga(21)
+                    .with_policy(policy),
+            )
+            .and_then(CompileSession::run)
+            .unwrap();
             Simulator::new(hw.clone()).run(&compiled).unwrap()
         };
         let naive = mk(ReusePolicy::Naive);
@@ -374,14 +401,15 @@ mod tests {
         // barriers), not the event engines.
         let graph = models::tiny_cnn();
         let hw = HardwareConfig::small_test();
-        let compiled = PimCompiler::new(hw.clone())
-            .compile(
-                &graph,
-                &CompileOptions::new(PipelineMode::HighThroughput)
-                    .with_fast_ga(5)
-                    .with_weight_reload(Some(32)),
-            )
-            .unwrap();
+        let compiled = CompileSession::new(
+            hw.clone(),
+            &graph,
+            CompileOptions::new(PipelineMode::HighThroughput)
+                .with_fast_ga(5)
+                .with_weight_reload(Some(32)),
+        )
+        .and_then(CompileSession::run)
+        .unwrap();
         let plan = compiled.reload.as_ref().unwrap();
         assert!(plan.epoch_count() > 1);
         let r = Simulator::new(hw).run(&compiled).unwrap();
@@ -414,7 +442,9 @@ mod tests {
             if reload {
                 opts = opts.with_weight_reload(None);
             }
-            PimCompiler::new(hw.clone()).compile(&graph, &opts).unwrap()
+            CompileSession::new(hw.clone(), &graph, opts)
+                .and_then(CompileSession::run)
+                .unwrap()
         };
         let plain = Simulator::new(hw.clone()).run(&compile(false)).unwrap();
         let resident = compile(true);

@@ -731,7 +731,7 @@ fn cmd_export(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_explore(args: &[String]) -> Result<(), String> {
-    use pimcomp::dse::{ExploreEngine, SweepReport, SweepSpec};
+    use pimcomp::dse::{ExploreEngine, SweepAxis, SweepReport, SweepSpec};
 
     // One positional (the spec path) plus --key value flags.
     let mut spec_path: Option<String> = None;
@@ -808,39 +808,34 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
         }));
     }
 
-    // The mode/batch factor is spelled so the printed product equals
-    // the point count even when LL modes collapse the batch axis.
-    let ht_modes = spec
-        .modes
-        .iter()
-        .filter(|&&m| m == PipelineMode::HighThroughput)
-        .count();
+    // One factor per sweep axis, in expansion order, so the printed
+    // product equals the point count. The batch axis folds into the mode
+    // factor because low-latency modes collapse it to batch 1.
+    let ht = PipelineMode::HighThroughput;
+    let ht_modes = spec.modes.iter().filter(|&&m| m == ht).count();
     let ll_modes = spec.modes.len() - ht_modes;
-    let mode_axis = match (ht_modes, ll_modes) {
-        (_, 0) => format!("{} modes x {} batches", ht_modes, spec.batches.len()),
-        (0, _) => format!("{ll_modes} modes"),
-        _ => format!(
-            "({ht_modes} HT mode{} x {} batches + {ll_modes} LL mode{})",
-            if ht_modes == 1 { "" } else { "s" },
-            spec.batches.len(),
-            if ll_modes == 1 { "" } else { "s" },
-        ),
-    };
-    // The reload axis only shows up when the spec sweeps it; the
-    // historical banner stays untouched for reload-off sweeps.
-    let reload_axis = if spec.weight_reload.as_slice() == [pimcomp::dse::ReloadSetting::Off] {
-        String::new()
-    } else {
-        format!(" x {} reload settings", spec.weight_reload.len())
-    };
+    let batches = spec.axis_len(SweepAxis::Batches, ht);
+    let plural = |n: usize| if n == 1 { "" } else { "s" };
+    let factors: Vec<String> = SweepAxis::ALL
+        .iter()
+        .filter_map(|&axis| match axis {
+            SweepAxis::Batches => None,
+            SweepAxis::Modes => Some(match (ht_modes, ll_modes) {
+                (_, 0) => format!("{ht_modes} modes x {batches} batches"),
+                (0, _) => format!("{ll_modes} modes"),
+                _ => format!(
+                    "({ht_modes} HT mode{} x {batches} batches + {ll_modes} LL mode{})",
+                    plural(ht_modes),
+                    plural(ll_modes)
+                ),
+            }),
+            axis => Some(format!("{} {}", spec.axis_len(axis, ht), axis.name())),
+        })
+        .collect();
     println!(
-        "exploring {} points ({} models x {mode_axis} x {} hardware configs x {} policies \
-         x {} seeds{reload_axis}, {} search, {threads} threads)...",
+        "exploring {} points ({}, {} search, {threads} threads)...",
         spec.len(),
-        spec.models.len(),
-        spec.hardware.len(),
-        spec.policies.len(),
-        spec.seeds.len(),
+        factors.join(" x "),
         spec.search.name()
     );
     if spec.hardware.is_auto() {

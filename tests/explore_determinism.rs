@@ -71,6 +71,66 @@ fn halving_spec() -> SweepSpec {
     SweepSpec::from_json(HALVING_SPEC).unwrap()
 }
 
+/// Two values on every sweep axis, listed out of sorted order so the
+/// expansion must follow the spec's order rather than sort it.
+const EVERY_AXIS_SPEC: &str = r#"{
+  "models": ["tiny_mlp", "tiny_cnn"],
+  "modes": ["ht", "ll"],
+  "hardware": { "base": "small_test", "chips": [2, 1] },
+  "memory_policies": ["ag", "naive"],
+  "ht_batches": [4, 1],
+  "seeds": [7, 3],
+  "weight_reload": { "budgets": [256], "include_off": true },
+  "seq_lens": [16, 8],
+  "quantization": [8, 0]
+}"#;
+
+#[test]
+fn expansion_order_is_pinned_on_every_axis() {
+    let spec = SweepSpec::from_json(EVERY_AXIS_SPEC).unwrap();
+    // 2 models x (HT: 2 batches + LL: 1) x 2 hardware x 2 policies x
+    // 2 seeds x 2 reload settings x 2 sequence lengths x 2 quantizations.
+    assert_eq!(spec.len(), 2 * 3 * 2 * 2 * 2 * 2 * 2 * 2);
+
+    // The canonical order, outermost first: models, modes, hardware,
+    // policies, batches (LL collapses to batch 1), seeds, reload,
+    // sequence length, quantization.
+    let mut expected = Vec::new();
+    for model in ["tiny_mlp", "tiny_cnn"] {
+        for (mode, batches) in [("HT", &[4, 1][..]), ("LL", &[1][..])] {
+            for hw in ["small_test+chips2", "small_test+chips1"] {
+                for policy in ["ag", "naive"] {
+                    for batch in batches {
+                        for seed in [7, 3] {
+                            for reload in ["", "/reload-256"] {
+                                for seq in [16, 8] {
+                                    for q in [8, 0] {
+                                        expected.push(format!(
+                                            "{model}/{mode}/{hw}/{policy}/b{batch}/seed{seed}\
+                                             {reload}/seq{seq}/q{q}"
+                                        ));
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let keys: Vec<String> = spec.points().unwrap().iter().map(|p| p.key()).collect();
+    assert_eq!(keys.len(), spec.len());
+    assert_eq!(
+        keys[0],
+        "tiny_mlp/HT/small_test+chips2/ag/b4/seed7/seq16/q8"
+    );
+    assert_eq!(
+        keys[keys.len() - 1],
+        "tiny_cnn/LL/small_test+chips1/naive/b1/seed3/reload-256/seq8/q0"
+    );
+    assert_eq!(keys, expected);
+}
+
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("pimcomp-explore-{tag}-{}", std::process::id()))
 }

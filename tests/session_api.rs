@@ -16,47 +16,6 @@ fn opts(mode: PipelineMode, seed: u64) -> CompileOptions {
 }
 
 #[test]
-fn staged_session_matches_legacy_compile_for_the_same_seed() {
-    for mode in [PipelineMode::HighThroughput, PipelineMode::LowLatency] {
-        let graph = pimcomp::ir::models::tiny_cnn();
-        let staged = CompileSession::new(hw(), &graph, opts(mode, 77))
-            .unwrap()
-            .partition()
-            .unwrap()
-            .optimize()
-            .unwrap()
-            .schedule()
-            .unwrap()
-            .finish();
-        let legacy = PimCompiler::new(hw())
-            .compile(&graph, &opts(mode, 77))
-            .unwrap();
-
-        assert_eq!(staged.graph, legacy.graph, "{mode}");
-        assert_eq!(staged.partitioning, legacy.partitioning, "{mode}");
-        assert_eq!(staged.mapping, legacy.mapping, "{mode}");
-        assert_eq!(staged.schedule, legacy.schedule, "{mode}");
-        assert_eq!(staged.memory, legacy.memory, "{mode}");
-        assert_eq!(
-            staged.report.replication, legacy.report.replication,
-            "{mode}"
-        );
-        assert_eq!(
-            staged.report.estimated_fitness, legacy.report.estimated_fitness,
-            "{mode}"
-        );
-
-        // And the simulator cannot tell them apart.
-        let sim = Simulator::new(hw());
-        assert_eq!(
-            sim.run(&staged).unwrap(),
-            sim.run(&legacy).unwrap(),
-            "{mode}"
-        );
-    }
-}
-
-#[test]
 fn artifact_disk_round_trip_preserves_simulation_bit_for_bit() {
     for mode in [PipelineMode::HighThroughput, PipelineMode::LowLatency] {
         let graph = pimcomp::ir::models::tiny_cnn();
@@ -148,14 +107,6 @@ fn invalid_options_are_rejected_at_session_creation() {
             "{label}: {err}"
         );
     }
-
-    // The legacy wrapper rejects them too (it routes through the session).
-    let mut bad = opts(PipelineMode::HighThroughput, 1);
-    bad.ga.population = 0;
-    assert!(matches!(
-        PimCompiler::new(hw()).compile(&graph, &bad),
-        Err(CompileError::InvalidOptions { .. })
-    ));
 }
 
 #[test]
@@ -179,8 +130,9 @@ fn observer_streams_stages_and_ga_progress_end_to_end() {
 
     let graph = pimcomp::ir::models::tiny_cnn();
     let mut events = Events::default();
-    let compiled = PimCompiler::new(hw())
-        .compile_observed(&graph, &opts(PipelineMode::HighThroughput, 3), &mut events)
+    let compiled = CompileSession::new(hw(), &graph, opts(PipelineMode::HighThroughput, 3))
+        .unwrap()
+        .run_observed(&mut events)
         .unwrap();
     assert!(compiled.report.estimated_fitness > 0.0);
 
@@ -231,8 +183,9 @@ fn session_reentry_swaps_policy_and_ga_without_recompiling_upstream() {
     // Re-entering with the same seed reproduces the same mapping as a
     // fresh end-to-end compilation with that seed.
     let re_same = re.reoptimize(GaParams::fast(21)).unwrap();
-    let fresh = PimCompiler::new(hw())
-        .compile(&graph, &opts(PipelineMode::HighThroughput, 21))
+    let fresh = CompileSession::new(hw(), &graph, opts(PipelineMode::HighThroughput, 21))
+        .unwrap()
+        .run()
         .unwrap();
     assert_eq!(re_same.mapping(), &fresh.mapping);
 }
