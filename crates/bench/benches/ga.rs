@@ -4,7 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pimcomp_arch::{HardwareConfig, PipelineMode};
-use pimcomp_core::{optimize, puma_mapping, DepInfo, GaContext, GaParams, Partitioning};
+use pimcomp_core::{
+    optimize, puma_chromosome, CoreMapping, DepInfo, GaContext, GaParams, Partitioning,
+};
 use pimcomp_ir::transform::normalize;
 
 fn bench_ga(c: &mut Criterion) {
@@ -73,7 +75,10 @@ fn bench_ga(c: &mut Criterion) {
     }
     // Ablation: the PUMA balanced heuristic (no search at all).
     group.bench_function("resnet18/puma-heuristic", |b| {
-        b.iter(|| puma_mapping(&partitioning, &hw).unwrap());
+        b.iter(|| {
+            let chromosome = puma_chromosome(&partitioning, &hw, hw.total_cores()).unwrap();
+            CoreMapping::from_chromosome(&chromosome, &partitioning).unwrap()
+        });
     });
     group.finish();
 }

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pimcomp_arch::HardwareConfig;
-use pimcomp_core::{puma_mapping, DepInfo, HtSchedule, LlSchedule, Partitioning};
+use pimcomp_core::{puma_chromosome, CoreMapping, DepInfo, HtSchedule, LlSchedule, Partitioning};
 use pimcomp_ir::transform::normalize;
 
 fn bench_schedule(c: &mut Criterion) {
@@ -11,7 +11,8 @@ fn bench_schedule(c: &mut Criterion) {
     let hw = HardwareConfig::puma_with_chips(5);
     let partitioning = Partitioning::new(&graph, &hw).unwrap();
     let dep = DepInfo::analyze(&graph);
-    let mapping = puma_mapping(&partitioning, &hw).unwrap();
+    let chromosome = puma_chromosome(&partitioning, &hw, hw.total_cores()).unwrap();
+    let mapping = CoreMapping::from_chromosome(&chromosome, &partitioning).unwrap();
 
     let mut group = c.benchmark_group("schedule");
     group.bench_function("resnet18/ht", |b| {

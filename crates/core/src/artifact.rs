@@ -3,11 +3,16 @@
 //!
 //! A [`CompiledArtifact`] wraps a [`CompiledModel`] with a format
 //! version and a fingerprint of the hardware configuration it was
-//! compiled for. Artifacts serialize to JSON, survive a round trip
-//! bit-for-bit (including every float in the model), and refuse to load
-//! against a different format version or execute against mismatched
-//! hardware — so a compilation service can persist them and simulator /
-//! runtime instances can consume them later without recompiling.
+//! compiled for. It persists only what cannot be re-derived: the
+//! compiled graph, the hardware, the options scheduling reads, and the
+//! replication + placement *decision* (the chromosome, or `null` for
+//! an epoch-packed model), plus GA provenance. Loading validates the
+//! fingerprint, then rebuilds partitioning, mapping, dependencies,
+//! schedule and memory plan through the same session stages a compile
+//! runs ([`Partitioned::place`](crate::Partitioned::place) checks the
+//! decision), so a rebuilt model equals the compiled one field for
+//! field except its stage timings, and a tampered artifact fails with
+//! a structured [`ArtifactError`] instead of simulating wrongly.
 //!
 //! # Example
 //!
@@ -32,8 +37,14 @@
 //! # }
 //! ```
 
-use crate::compiler::CompiledModel;
-use pimcomp_arch::HardwareConfig;
+use crate::compiler::{CompileOptions, CompiledModel};
+use crate::ga::GaStats;
+use crate::mapping::Chromosome;
+use crate::memory::ReusePolicy;
+use crate::session::{CompileSession, Optimized, Scheduled};
+use crate::CompileError;
+use pimcomp_arch::{HardwareConfig, PipelineMode};
+use pimcomp_ir::Graph;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
@@ -57,12 +68,17 @@ pub enum ArtifactError {
         /// Fingerprint recorded in the artifact.
         found: u64,
     },
-    /// The model's parts disagree with each other (a truncated or
-    /// tampered artifact); see [`CompiledModel::check_coverage`].
+    /// The model's parts disagree with each other or with the recorded
+    /// hardware fingerprint (a truncated or tampered artifact, or a
+    /// model edited in memory); see [`CompiledModel::validate`].
     Inconsistent {
         /// What disagrees.
         detail: String,
     },
+    /// Rebuilding the model from the artifact's inputs and decision
+    /// failed: invalid hardware, options or graph, or a decision that
+    /// breaks a GA constraint.
+    Rebuild(CompileError),
     /// JSON (de)serialization failed.
     Serialization(String),
     /// Filesystem I/O failed.
@@ -84,6 +100,7 @@ impl fmt::Display for ArtifactError {
             ArtifactError::Inconsistent { detail } => {
                 write!(f, "artifact is inconsistent: {detail}")
             }
+            ArtifactError::Rebuild(e) => write!(f, "artifact does not rebuild: {e}"),
             ArtifactError::Serialization(detail) => {
                 write!(f, "artifact serialization failed: {detail}")
             }
@@ -94,55 +111,59 @@ impl fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
-/// A compiled model packaged for persistence: format version +
-/// hardware fingerprint + the full [`CompiledModel`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A compiled model packaged for persistence, serialized with the
+/// format version and its hardware fingerprint.
+#[derive(Debug, Clone)]
 pub struct CompiledArtifact {
+    model: CompiledModel,
+}
+
+/// The serialized shape: inputs and the decision, nothing derived.
+#[derive(Serialize, Deserialize)]
+struct ArtifactWire {
     format_version: u32,
     hw_fingerprint: u64,
-    model: CompiledModel,
+    /// Already normalized and sequence-bound.
+    graph: Graph,
+    hw: HardwareConfig,
+    mode: PipelineMode,
+    batch: usize,
+    memory_policy: ReusePolicy,
+    /// `Some` for `weight_reload` models (the resolved budget).
+    reload_budget: Option<usize>,
+    /// `None` for epoch-packed models.
+    chromosome: Option<Chromosome>,
+    /// Provenance: `report.compiler` and the GA trace.
+    compiler: String,
+    ga: Option<GaStats>,
 }
 
 impl CompiledArtifact {
     /// The artifact format this build writes (and the only one it
-    /// reads). Bump on any breaking change to the serialized shape of
-    /// [`CompiledModel`] or its components.
+    /// reads). Bump on any breaking change to the serialized shape.
     ///
-    /// v2: [`GaStats`](crate::GaStats) gained the evaluation-engine
-    /// counters (`full_evals`, `incremental_evals`, `cache_hits`,
-    /// `evals_per_generation`).
-    ///
-    /// v3: [`GaStats`](crate::GaStats) gained the mutation-operator
-    /// tallies (`grow_successes`, `grow_failures`), replacing the old
-    /// `GA_DEBUG` stderr diagnostics.
-    ///
-    /// v4: `weight_reload` support — [`CompiledModel`] gained the
-    /// `reload` field (the epoch/reload schedule,
-    /// [`ReloadPlan`](crate::ReloadPlan)), `report.ga` became truly
-    /// optional (epoch-packed compilations skip the GA), and
-    /// [`HardwareConfig`] gained the crossbar write cost model
-    /// (`xbar_write_row_cycles`, `xbar_write_pj_per_cell`).
-    pub const FORMAT_VERSION: u32 = 4;
+    /// v2–v4 serialized the whole model (v2/v3 grew [`GaStats`]
+    /// counters, v4 added `weight_reload`). v5 stores decisions, not
+    /// derived state: graph, hardware, mode, batch, memory policy,
+    /// reload budget, the chromosome and GA provenance; everything else
+    /// is rebuilt on load. No stage timings are written, so equal
+    /// inputs give byte-identical artifacts.
+    pub const FORMAT_VERSION: u32 = 5;
 
-    /// Packages a compiled model, fingerprinting its hardware target.
+    /// Packages a compiled model.
     #[must_use]
     pub fn new(model: CompiledModel) -> Self {
-        let hw_fingerprint = hardware_fingerprint(&model.hw);
-        CompiledArtifact {
-            format_version: Self::FORMAT_VERSION,
-            hw_fingerprint,
-            model,
-        }
+        CompiledArtifact { model }
     }
 
-    /// The format version recorded in this artifact.
+    /// The format version of this artifact (the one this build reads).
     pub fn format_version(&self) -> u32 {
-        self.format_version
+        Self::FORMAT_VERSION
     }
 
     /// The fingerprint of the hardware the model was compiled for.
     pub fn hw_fingerprint(&self) -> u64 {
-        self.hw_fingerprint
+        hardware_fingerprint(&self.model.hw)
     }
 
     /// Read-only view of the packaged model.
@@ -157,12 +178,9 @@ impl CompiledArtifact {
     ///
     /// [`ArtifactError::HardwareMismatch`] when the fingerprints differ.
     pub fn verify_hardware(&self, hw: &HardwareConfig) -> Result<(), ArtifactError> {
-        let expected = hardware_fingerprint(hw);
-        if expected != self.hw_fingerprint {
-            return Err(ArtifactError::HardwareMismatch {
-                expected,
-                found: self.hw_fingerprint,
-            });
+        let (expected, found) = (hardware_fingerprint(hw), self.hw_fingerprint());
+        if expected != found {
+            return Err(ArtifactError::HardwareMismatch { expected, found });
         }
         Ok(())
     }
@@ -191,17 +209,38 @@ impl CompiledArtifact {
     ///
     /// [`ArtifactError::Serialization`] when encoding fails.
     pub fn to_json(&self) -> Result<String, ArtifactError> {
-        serde_json::to_string(self).map_err(|e| ArtifactError::Serialization(e.to_string()))
+        let m = &self.model;
+        let wire = ArtifactWire {
+            format_version: Self::FORMAT_VERSION,
+            hw_fingerprint: self.hw_fingerprint(),
+            graph: m.graph.clone(),
+            hw: m.hw.clone(),
+            mode: m.mode,
+            batch: m.schedule.as_ht().map_or(1, |s| s.batch),
+            memory_policy: m.memory.policy,
+            reload_budget: m.reload.as_ref().map(|p| p.budget),
+            chromosome: m.chromosome.clone(),
+            compiler: m.report.compiler.clone(),
+            ga: m.report.ga.clone(),
+        };
+        serde_json::to_string(&wire).map_err(|e| ArtifactError::Serialization(e.to_string()))
     }
 
-    /// Deserializes an artifact from JSON, checking the format version
-    /// *before* decoding the full model so version mismatches produce a
-    /// clean error instead of a shape mismatch.
+    /// Deserializes an artifact from JSON and rebuilds its model.
+    ///
+    /// The format version is checked *before* decoding the rest, so
+    /// version mismatches produce a clean error instead of a shape
+    /// mismatch. The recorded hardware fingerprint must match the
+    /// recorded hardware; then the model is rebuilt through
+    /// [`CompileSession::new`] (validating hardware, options and graph),
+    /// `partition`, [`place`](crate::Partitioned::place) (validating the
+    /// decision), `schedule` and `finish`.
     ///
     /// # Errors
     ///
     /// [`ArtifactError::UnsupportedVersion`] /
-    /// [`ArtifactError::Serialization`].
+    /// [`ArtifactError::Serialization`] / [`ArtifactError::Inconsistent`]
+    /// (fingerprint) / [`ArtifactError::Rebuild`].
     pub fn from_json(json: &str) -> Result<Self, ArtifactError> {
         let value = serde_json::parse_value(json)
             .map_err(|e| ArtifactError::Serialization(e.to_string()))?;
@@ -220,8 +259,35 @@ impl CompiledArtifact {
                 supported: Self::FORMAT_VERSION,
             });
         }
-        serde::Deserialize::from_value(&value)
-            .map_err(|e| ArtifactError::Serialization(e.to_string()))
+        let wire: ArtifactWire = serde::Deserialize::from_value(&value)
+            .map_err(|e| ArtifactError::Serialization(e.to_string()))?;
+        let computed = hardware_fingerprint(&wire.hw);
+        if computed != wire.hw_fingerprint {
+            return Err(ArtifactError::Inconsistent {
+                detail: format!(
+                    "recorded hardware fingerprint {:#018x} does not match the recorded \
+                     hardware ({computed:#018x})",
+                    wire.hw_fingerprint
+                ),
+            });
+        }
+        let opts = CompileOptions {
+            batch: wire.batch,
+            memory_policy: wire.memory_policy,
+            normalize: false,
+            weight_reload: wire.reload_budget.is_some(),
+            reload_budget: wire.reload_budget,
+            ..CompileOptions::new(wire.mode)
+        };
+        let mut model = CompileSession::new(wire.hw, &wire.graph, opts)
+            .and_then(CompileSession::partition)
+            .and_then(|p| p.place(wire.chromosome))
+            .and_then(Optimized::schedule)
+            .map(Scheduled::finish)
+            .map_err(ArtifactError::Rebuild)?;
+        model.report.compiler = wire.compiler;
+        model.report.ga = wire.ga;
+        Ok(CompiledArtifact { model })
     }
 
     /// Writes the artifact as JSON to `path`.
@@ -239,8 +305,8 @@ impl CompiledArtifact {
     ///
     /// # Errors
     ///
-    /// [`ArtifactError::Io`] / [`ArtifactError::UnsupportedVersion`] /
-    /// [`ArtifactError::Serialization`].
+    /// [`ArtifactError::Io`], plus the [`CompiledArtifact::from_json`]
+    /// errors.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, ArtifactError> {
         let json = std::fs::read_to_string(path.as_ref())
             .map_err(|e| ArtifactError::Io(format!("reading {}: {e}", path.as_ref().display())))?;
@@ -321,11 +387,14 @@ mod tests {
         let back = CompiledArtifact::from_json(&json).unwrap();
         assert_eq!(back.format_version(), CompiledArtifact::FORMAT_VERSION);
         assert_eq!(back.hw_fingerprint(), artifact.hw_fingerprint());
-        let restored = back.into_model(&m.hw).unwrap();
+        let mut restored = back.into_model(&m.hw).unwrap();
         assert_eq!(restored.graph, m.graph);
+        assert_eq!(restored.chromosome, m.chromosome);
         assert_eq!(restored.mapping, m.mapping);
         assert_eq!(restored.schedule, m.schedule);
         assert_eq!(restored.memory, m.memory);
+        // Stage timings are the one field a rebuild re-measures.
+        restored.report.timings = m.report.timings;
         assert_eq!(restored.report, m.report);
     }
 
@@ -368,7 +437,7 @@ mod tests {
         let path = dir.join("m.pimc.json");
         artifact.save(&path).unwrap();
         let back = CompiledArtifact::load(&path).unwrap();
-        assert_eq!(back.model().report, artifact.model().report);
+        assert_eq!(back.to_json().unwrap(), artifact.to_json().unwrap());
         std::fs::remove_file(&path).ok();
     }
 

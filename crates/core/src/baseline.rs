@@ -5,22 +5,23 @@
 //! *heuristically to balance the inter-layer pipeline* (replicas
 //! proportional to each layer's sliding-window count, the PUMA/ISAAC
 //! recipe) and a *greedy sequential* core mapping that fills cores one
-//! after another. Scheduling and simulation then reuse exactly the same
-//! machinery as PIMCOMP, so measured differences come from the
+//! after another. The greedy chromosome then goes through the same
+//! session stages as the GA's ([`Partitioned::place`], scheduling,
+//! finishing), so measured differences come from the
 //! replication/mapping decisions alone.
+//!
+//! [`Partitioned::place`]: crate::Partitioned::place
 
-use crate::compiler::{CompileOptions, CompileReport, CompiledModel, StageTimings};
-use crate::mapping::{Chromosome, CoreMapping, Gene};
-use crate::memory::MemoryPlan;
+use crate::compiler::{CompileOptions, CompiledModel};
+use crate::mapping::{Chromosome, Gene};
 use crate::partition::Partitioning;
-use crate::schedule::{HtSchedule, LlSchedule, Schedule};
-use crate::waiting::DepInfo;
-use crate::{fitness, CompileError};
-use pimcomp_arch::{HardwareConfig, PipelineMode};
+use crate::session::{CompileSession, Target};
+use crate::CompileError;
+use pimcomp_arch::HardwareConfig;
 use pimcomp_ir::Graph;
-use std::time::Instant;
 
-/// Pipeline-balancing replication + greedy sequential mapping.
+/// The PUMA-like decision over the first `cores` cores:
+/// pipeline-balancing replication + greedy sequential mapping.
 ///
 /// Replication: the largest per-replica window target `t` is found (by
 /// binary search) such that `R_n = ceil(windows_n / t)` fits the
@@ -34,11 +35,11 @@ use std::time::Instant;
 ///
 /// [`CompileError::InsufficientCapacity`] when one replica of every
 /// node does not fit.
-pub fn puma_mapping(
+pub fn puma_chromosome(
     partitioning: &Partitioning,
     hw: &HardwareConfig,
-) -> Result<CoreMapping, CompileError> {
-    let cores = hw.total_cores();
+    cores: usize,
+) -> Result<Chromosome, CompileError> {
     let capacity = hw.crossbar_capacity_per_core();
     let budget = cores * capacity;
     if partitioning.min_crossbars() > budget {
@@ -77,7 +78,7 @@ pub fn puma_mapping(
     let mut target = lo;
     loop {
         match try_greedy_placement(partitioning, cores, capacity, target) {
-            Some(chrom) => return CoreMapping::from_chromosome(&chrom, partitioning),
+            Some(chrom) => return Ok(chrom),
             None if target < max_windows => {
                 target = (target + target.div_ceil(8)).min(max_windows);
             }
@@ -134,8 +135,8 @@ fn try_greedy_placement(
     Some(chrom)
 }
 
-/// The baseline compiler: PUMA-like replication and mapping, PIMCOMP
-/// scheduling/simulation machinery.
+/// The baseline compiler: the PUMA-like decision, placed, scheduled and
+/// finished by the same session stages as PIMCOMP's.
 #[derive(Debug, Clone)]
 pub struct PumaCompiler {
     hw: HardwareConfig,
@@ -147,125 +148,55 @@ impl PumaCompiler {
         PumaCompiler { hw }
     }
 
-    /// Compiles `graph` with the PUMA-like pipeline. GA options inside
-    /// `opts` are ignored; pipeline mode, batch and memory policy apply.
+    /// Compiles `graph` with the PUMA-like decision: `CompileSession::new
+    /// → partition → place(greedy chromosome) → schedule → finish`,
+    /// labelled `PUMA-like`. GA options inside `opts` are validated but
+    /// unused; every other option applies as in a GA compile (an
+    /// over-budget `weight_reload` model is epoch-packed).
     ///
     /// # Errors
     ///
     /// Same failure modes as [`CompileSession::run`]
     /// (invalid inputs, insufficient capacity).
-    ///
-    /// [`CompileSession::run`]: crate::CompileSession::run
     pub fn compile(
         &self,
         graph: &Graph,
         opts: &CompileOptions,
     ) -> Result<CompiledModel, CompileError> {
-        self.hw
-            .validate()
-            .map_err(|e| CompileError::InvalidHardware {
-                detail: e.to_string(),
-            })?;
-        let graph = if opts.normalize {
-            pimcomp_ir::transform::normalize(graph).map_err(|e| CompileError::InvalidGraph {
-                detail: e.to_string(),
-            })?
-        } else {
-            graph.clone()
-        };
-        graph.validate().map_err(|e| CompileError::InvalidGraph {
-            detail: e.to_string(),
-        })?;
-
-        let t0 = Instant::now();
-        let partitioning = Partitioning::new(&graph, &self.hw)?;
-        let t_partition = t0.elapsed();
-
-        let t1 = Instant::now();
-        let mapping = puma_mapping(&partitioning, &self.hw)?;
-        let t_mapping = t1.elapsed();
-
-        let t2 = Instant::now();
-        let dep = DepInfo::analyze(&graph);
-        let schedule = match opts.mode {
-            PipelineMode::HighThroughput => Schedule::HighThroughput(HtSchedule::build(
-                &graph,
-                &partitioning,
-                &mapping,
-                &dep,
+        let partitioned = CompileSession::new(self.hw.clone(), graph, opts.clone())?.partition()?;
+        let chromosome = match partitioned.target() {
+            Target::Cores { cores, .. } => Some(puma_chromosome(
+                partitioned.partitioning(),
                 &self.hw,
-                opts.batch,
-            )),
-            PipelineMode::LowLatency => Schedule::LowLatency(LlSchedule::build(
-                &graph,
-                &partitioning,
-                &mapping,
-                &dep,
-                &self.hw,
-            )),
+                cores,
+            )?),
+            Target::Epochs { .. } => None,
         };
-        let memory = match &schedule {
-            Schedule::HighThroughput(s) => {
-                MemoryPlan::for_ht(s, &partitioning, &mapping, &self.hw, opts.memory_policy)
-            }
-            Schedule::LowLatency(s) => {
-                MemoryPlan::for_ll(&graph, s, &partitioning, &dep, &self.hw, opts.memory_policy)
-            }
-        };
-        let t_schedule = t2.elapsed();
-
-        let estimated = match opts.mode {
-            PipelineMode::HighThroughput => {
-                fitness::ht_fitness_from_mapping(&self.hw, &partitioning, &mapping)
-            }
-            PipelineMode::LowLatency => {
-                fitness::ll_fitness(&self.hw, &graph, &partitioning, &dep, &mapping.replication)
-            }
-        };
-
-        let report = CompileReport {
-            model: graph.name().to_string(),
-            compiler: "PUMA-like".to_string(),
-            mode: opts.mode,
-            timings: StageTimings {
-                node_partitioning: t_partition,
-                replicating_mapping: t_mapping,
-                dataflow_scheduling: t_schedule,
-            },
-            ga: None,
-            replication: mapping.replication.counts().to_vec(),
-            active_cores: mapping.active_cores(),
-            crossbars_used: mapping.replication.total_crossbars(&partitioning),
-            estimated_fitness: estimated,
-        };
-
-        Ok(CompiledModel {
-            graph,
-            hw: self.hw.clone(),
-            mode: opts.mode,
-            partitioning,
-            mapping,
-            dep,
-            schedule,
-            memory,
-            reload: None,
-            report,
-        })
+        let mut model = partitioned.place(chromosome)?.schedule()?.finish();
+        model.report.compiler = "PUMA-like".to_string();
+        Ok(model)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::CoreMapping;
+    use pimcomp_arch::PipelineMode;
     use pimcomp_ir::models;
     use pimcomp_ir::transform::normalize;
+
+    fn puma_mapping(p: &Partitioning, hw: &HardwareConfig) -> CoreMapping {
+        let chromosome = puma_chromosome(p, hw, hw.total_cores()).unwrap();
+        CoreMapping::from_chromosome(&chromosome, p).unwrap()
+    }
 
     #[test]
     fn puma_replicates_early_layers_more() {
         let g = normalize(&models::tiny_cnn()).unwrap();
         let hw = HardwareConfig::small_test();
         let p = Partitioning::new(&g, &hw).unwrap();
-        let m = puma_mapping(&p, &hw).unwrap();
+        let m = puma_mapping(&p, &hw);
         let counts = m.replication.counts();
         // conv1 has 32x32=1024 windows; fc2 has 1 window.
         let first = counts[0];
@@ -282,8 +213,8 @@ mod tests {
         let g = normalize(&models::tiny_cnn()).unwrap();
         let hw = HardwareConfig::small_test();
         let p = Partitioning::new(&g, &hw).unwrap();
-        let m = puma_mapping(&p, &hw).unwrap();
-        m.validate(&p).unwrap();
+        let m = puma_mapping(&p, &hw);
+        m.validate(&p, hw.total_cores()).unwrap();
         // Per-core capacity respected.
         let mut used = vec![0usize; hw.total_cores()];
         for inst in &m.instances {
@@ -299,7 +230,7 @@ mod tests {
         let g = normalize(&models::tiny_cnn()).unwrap();
         let hw = HardwareConfig::small_test();
         let p = Partitioning::new(&g, &hw).unwrap();
-        let m = puma_mapping(&p, &hw).unwrap();
+        let m = puma_mapping(&p, &hw);
         let min_cores = m
             .replication
             .total_crossbars(&p)

@@ -4,9 +4,9 @@
 
 use crate::artifact::ArtifactError;
 use crate::ga::{GaParams, GaStats};
-use crate::mapping::CoreMapping;
+use crate::mapping::{Chromosome, CoreMapping};
 use crate::memory::{MemoryPlan, ReusePolicy};
-use crate::partition::{Partitioning, ReloadPlan};
+use crate::partition::{EpochPlan, Partitioning, ReloadPlan};
 use crate::schedule::Schedule;
 use crate::waiting::DepInfo;
 use crate::CompileError;
@@ -238,10 +238,11 @@ pub struct CompileReport {
 
 /// Everything the simulator needs to execute a compiled model.
 ///
-/// Serializable: wrap in a
-/// [`CompiledArtifact`](crate::CompiledArtifact) for versioned,
-/// fingerprint-checked persistence.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Wrap in a [`CompiledArtifact`](crate::CompiledArtifact) for
+/// versioned, fingerprint-checked persistence: the artifact stores the
+/// inputs and the [`chromosome`](CompiledModel::chromosome) decision,
+/// and loading rebuilds every other field through the session stages.
+#[derive(Debug, Clone)]
 pub struct CompiledModel {
     /// The normalized graph that was compiled.
     pub graph: Graph,
@@ -253,6 +254,10 @@ pub struct CompiledModel {
     pub partitioning: Partitioning,
     /// Replication + placement.
     pub mapping: CoreMapping,
+    /// The decision the mapping was placed from (see
+    /// [`Partitioned::place`](crate::Partitioned::place)); `None` for
+    /// epoch-packed `weight_reload` models.
+    pub chromosome: Option<Chromosome>,
     /// Dependency / waiting analysis.
     pub dep: DepInfo,
     /// The per-core schedule.
@@ -283,23 +288,66 @@ impl CompiledModel {
         )
     }
 
-    /// Checks that the mapping's replication plan has one count per
-    /// partition entry: the invariant the simulator and the functional
-    /// executor rely on when they index partition entries by MVM index,
-    /// and the first one a truncated artifact breaks.
+    /// Checks everything the simulator and the functional executor
+    /// index: each partition entry's geometry matches the hardware, the
+    /// mapping realizes its replication plan on the target's cores
+    /// ([`CoreMapping::validate`]), and a multi-epoch reload plan is the
+    /// one its budget derives. Both consumers call this, so a model
+    /// edited in memory fails with the same error in each.
     ///
     /// # Errors
     ///
-    /// [`ArtifactError::Inconsistent`] naming both lengths.
-    pub fn check_coverage(&self) -> Result<(), ArtifactError> {
-        let counts = self.mapping.replication.counts().len();
-        let entries = self.partitioning.len();
-        if counts != entries {
-            return Err(ArtifactError::Inconsistent {
-                detail: format!(
-                    "replication plan covers {counts} nodes, partitioning has {entries}"
-                ),
-            });
+    /// [`ArtifactError::Inconsistent`] naming the first violation.
+    pub fn validate(&self) -> Result<(), ArtifactError> {
+        let inconsistent = |detail: String| ArtifactError::Inconsistent { detail };
+        let hx = self.hw.crossbar_rows;
+        let wcc = self.hw.weight_cols_per_crossbar();
+        if hx == 0 || wcc == 0 {
+            return Err(inconsistent(
+                "hardware has zero crossbar rows or weight columns".to_string(),
+            ));
+        }
+        if let Some((i, e)) = self
+            .partitioning
+            .entries()
+            .iter()
+            .enumerate()
+            .find(|(_, e)| {
+                e.ags_per_replica != e.weight_height.div_ceil(hx)
+                    || e.crossbars_per_ag != e.weight_width.div_ceil(wcc)
+            })
+        {
+            return Err(inconsistent(format!(
+                "entry {i} (`{}`) geometry ({} AGs × {} crossbars) disagrees with \
+                 a {}×{} weight matrix on {hx}-row, {wcc}-weight-column crossbars",
+                e.name, e.ags_per_replica, e.crossbars_per_ag, e.weight_height, e.weight_width
+            )));
+        }
+        let cores = self.hw.total_cores();
+        self.mapping
+            .validate(&self.partitioning, cores)
+            .map_err(|e| inconsistent(e.to_string()))?;
+
+        // Multi-epoch reload models run the packer's epochs serially;
+        // only the plan the budget derives is duplication-free and
+        // covers every Array Group exactly once.
+        if let Some(plan) = self.reload.as_ref().filter(|p| !p.is_single_epoch()) {
+            let rebuilt =
+                EpochPlan::new(&self.partitioning, &self.hw, plan.budget).map_err(|e| {
+                    inconsistent(format!(
+                        "cannot rebuild the epoch plan for budget {}: {e}",
+                        plan.budget
+                    ))
+                })?;
+            if rebuilt.reload_plan(&self.partitioning, &self.hw) != *plan
+                || CoreMapping::from_epoch_plan(&rebuilt, &self.partitioning, cores) != self.mapping
+            {
+                return Err(inconsistent(format!(
+                    "the reload plan and mapping disagree with the epoch plan \
+                     a {}-crossbar budget derives",
+                    plan.budget
+                )));
+            }
         }
         Ok(())
     }

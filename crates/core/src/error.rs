@@ -1,7 +1,7 @@
 use std::fmt;
 
 /// Errors produced by the PIMCOMP compiler.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CompileError {
     /// The model's minimum crossbar demand (one replica per node)
@@ -25,8 +25,10 @@ pub enum CompileError {
     /// The graph has no convolution or fully connected node, so there is
     /// nothing to map onto the crossbars.
     NoMvmNodes,
-    /// An invariant of the genetic-algorithm state was violated
-    /// (indicates an internal bug; included for diagnosability).
+    /// A replication + placement decision breaks a constraint the GA
+    /// maintains: an internal bug when the GA raises it, a tampered or
+    /// foreign decision when
+    /// [`Partitioned::place`](crate::Partitioned::place) does.
     MappingInvariant {
         /// Description of the violated invariant.
         detail: String,

@@ -67,7 +67,7 @@ mod waiting;
 pub use artifact::{
     graph_fingerprint, hardware_fingerprint, options_fingerprint, ArtifactError, CompiledArtifact,
 };
-pub use baseline::{puma_mapping, PumaCompiler};
+pub use baseline::{puma_chromosome, PumaCompiler};
 pub use compiler::{CompileOptions, CompileReport, CompiledModel, StageTimings};
 pub use error::CompileError;
 pub use fitness::{

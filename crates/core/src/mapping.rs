@@ -104,7 +104,7 @@ impl Deserialize for Chromosome {
         let wire = ChromosomeWire::from_value(v)?;
         if wire.cores == 0
             || wire.max_nodes_per_core == 0
-            || wire.slots.len() != wire.cores * wire.max_nodes_per_core
+            || wire.cores.checked_mul(wire.max_nodes_per_core) != Some(wire.slots.len())
         {
             return Err(serde::DeError::new(format!(
                 "chromosome grid {}x{} does not match {} slots",
@@ -314,6 +314,56 @@ impl Chromosome {
             }
         }
         totals
+    }
+
+    /// Checks the constraints the GA maintains, so a chromosome from
+    /// outside the search (an artifact, a heuristic) materializes safely:
+    /// a grid of exactly `cores` cores (the chip, or the budgeted core
+    /// prefix in `weight_reload` mode — so no gene can sit outside it),
+    /// non-empty genes naming existing nodes, per-core crossbars within
+    /// `capacity`, and AG totals that are positive multiples of each
+    /// node's AGs-per-replica.
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError::MappingInvariant`] naming the first violation.
+    pub fn check_placement(
+        &self,
+        partitioning: &Partitioning,
+        cores: usize,
+        capacity: usize,
+    ) -> Result<(), CompileError> {
+        let fail = |detail: String| Err(CompileError::MappingInvariant { detail });
+        if self.cores != cores {
+            return fail(format!(
+                "chromosome grid has {} cores, the placement target has {cores}",
+                self.cores
+            ));
+        }
+        // A gene above `capacity` AGs overflows its core whatever its
+        // width, so the per-core sums below cannot overflow.
+        let nodes = partitioning.len();
+        if let Some((slot, g)) = self
+            .genes()
+            .find(|(_, g)| g.mvm >= nodes || g.ag_count == 0 || g.ag_count > capacity)
+        {
+            return fail(format!(
+                "gene in slot {slot} places {} AGs of node {} (the partitioning has \
+                 {nodes} nodes, a core holds {capacity} crossbars)",
+                g.ag_count, g.mvm
+            ));
+        }
+        if let Some((core, used)) = self
+            .used_crossbars(partitioning)
+            .into_iter()
+            .enumerate()
+            .find(|&(_, used)| used > capacity)
+        {
+            return fail(format!(
+                "core {core} holds {used} crossbars, its capacity is {capacity}"
+            ));
+        }
+        self.replication(partitioning).map(drop)
     }
 
     /// Derives the replication plan implied by AG totals.
@@ -588,35 +638,96 @@ impl CoreMapping {
         cores
     }
 
-    /// Checks internal consistency (every replica fully placed, owners
-    /// defined, per-core index coherent).
+    /// Checks that the mapping realizes its replication plan on `cores`
+    /// cores: a positive replica count and one in-range owner per
+    /// replica for every node, one instance per `(node, replica, slice)`
+    /// Array Group on a core below `cores`, and a per-core index that
+    /// agrees with the instances — everything the simulator and the
+    /// functional executor index (see
+    /// [`CompiledModel::validate`](crate::CompiledModel::validate)).
     ///
     /// # Errors
     ///
     /// [`CompileError::MappingInvariant`] describing the first violation.
-    pub fn validate(&self, partitioning: &Partitioning) -> Result<(), CompileError> {
+    pub fn validate(&self, partitioning: &Partitioning, cores: usize) -> Result<(), CompileError> {
         let fail = |detail: String| Err(CompileError::MappingInvariant { detail });
-        for (mvm, node_owners) in self.owners.iter().enumerate() {
-            if node_owners.len() != self.replication.count(mvm) {
-                return fail(format!("node {mvm}: owner count != replica count"));
-            }
-            if node_owners.contains(&usize::MAX) {
-                return fail(format!("node {mvm}: replica without owner"));
-            }
-            let a = partitioning.entry(mvm).ags_per_replica;
-            let n = self.instances.iter().filter(|i| i.mvm == mvm).count();
-            if n != a * self.replication.count(mvm) {
+        let entries = partitioning.entries();
+        let counts = self.replication.counts();
+        if counts.len() != entries.len() {
+            return fail(format!(
+                "replication plan covers {} nodes, partitioning has {}",
+                counts.len(),
+                entries.len()
+            ));
+        }
+        if self.owners.len() != entries.len() {
+            return fail(format!(
+                "owner table covers {} nodes, partitioning has {}",
+                self.owners.len(),
+                entries.len()
+            ));
+        }
+        for (mvm, (owners, &r)) in self.owners.iter().zip(counts).enumerate() {
+            if r == 0 || owners.len() != r {
                 return fail(format!(
-                    "node {mvm}: {n} instances, expected {}",
-                    a * self.replication.count(mvm)
+                    "node {mvm} has {} owners for {r} replicas",
+                    owners.len()
+                ));
+            }
+            if let Some(core) = owners.iter().find(|&&c| c >= cores) {
+                return fail(format!(
+                    "node {mvm} accumulates on core {core}, the target has {cores} cores"
+                ));
+            }
+        }
+
+        // placed[mvm][replica * A + slice]: seen an instance yet?
+        let mut placed: Vec<Vec<bool>> = entries
+            .iter()
+            .zip(counts)
+            .map(|(e, &r)| vec![false; r.saturating_mul(e.ags_per_replica)])
+            .collect();
+        for inst in &self.instances {
+            let (mvm, r, s) = (inst.mvm, inst.replica, inst.slice);
+            let Some(a) = entries.get(mvm).map(|e| e.ags_per_replica) else {
+                return fail(format!("AG instance names node {mvm} of {}", entries.len()));
+            };
+            if r >= counts[mvm] || s >= a {
+                return fail(format!(
+                    "AG instance (node {mvm}, replica {r}, slice {s}) is outside \
+                     replication {} × {a} AGs per replica",
+                    counts[mvm]
+                ));
+            }
+            if inst.core >= cores {
+                return fail(format!(
+                    "AG instance (node {mvm}, replica {r}, slice {s}) is mapped to core {}, \
+                     the target has {cores} cores",
+                    inst.core
+                ));
+            }
+            if std::mem::replace(&mut placed[mvm][r * a + s], true) {
+                return fail(format!(
+                    "duplicate AG instance (node {mvm}, replica {r}, slice {s})"
+                ));
+            }
+        }
+        for (mvm, seen) in placed.iter().enumerate() {
+            if let Some(k) = seen.iter().position(|&b| !b) {
+                let a = entries[mvm].ags_per_replica;
+                return fail(format!(
+                    "no AG instance for node {mvm}, replica {}, slice {}",
+                    k / a,
+                    k % a
                 ));
             }
         }
         for (core, ids) in self.per_core.iter().enumerate() {
-            for &id in ids {
-                if self.instances[id].core != core {
-                    return fail(format!("instance {id} mis-indexed on core {core}"));
-                }
+            if let Some(id) = ids
+                .iter()
+                .find(|&&id| self.instances.get(id).map(|i| i.core) != Some(core))
+            {
+                return fail(format!("instance {id} mis-indexed on core {core}"));
             }
         }
         Ok(())
@@ -718,7 +829,7 @@ mod tests {
     fn mapping_materializes_instances_and_owners() {
         let (c, p) = filled();
         let m = CoreMapping::from_chromosome(&c, &p).unwrap();
-        m.validate(&p).unwrap();
+        m.validate(&p, c.cores()).unwrap();
         // Node 0: replica 0 entirely on core 0 (6 >= 5); replica 1
         // split: slice 0 on core 0 (the 6th AG), slices 1-4 on core 1.
         assert_eq!(m.owners[0], vec![0, 0]);

@@ -14,7 +14,10 @@
 //! ```
 //!
 //! so that every intermediate result is inspectable and the pipeline is
-//! *re-enterable*: swap GA parameters on a [`Partitioned`] or
+//! *re-enterable*. [`Partitioned::place`] is the one way to an
+//! [`Optimized`]: `optimize()` places the GA's chromosome, the PUMA
+//! baseline its greedy one, and an artifact load the recorded one.
+//! Swap GA parameters on a [`Partitioned`] or
 //! re-optimize an [`Optimized`] without repeating partitioning, replan
 //! memory or rebatch a [`Scheduled`] without re-running the GA. Each
 //! stage method has an `_observed` variant that streams progress
@@ -47,7 +50,7 @@
 
 use crate::compiler::{CompileOptions, CompileReport, CompiledModel, StageTimings};
 use crate::ga::{optimize_observed, GaContext, GaGeneration, GaParams, GaStats};
-use crate::mapping::CoreMapping;
+use crate::mapping::{Chromosome, CoreMapping};
 use crate::memory::{MemoryPlan, ReusePolicy};
 use crate::partition::{EpochPlan, EpochReloadCost, Partitioning, ReloadPlan};
 use crate::schedule::{HtSchedule, LlSchedule, Schedule};
@@ -396,80 +399,130 @@ impl Partitioned {
     ) -> Result<Optimized, CompileError> {
         observer.on_stage_start(CompileStage::ReplicatingMapping);
         let t0 = Instant::now();
-        let hw = &self.session.hw;
-        let capacity = hw.crossbar_capacity_per_core();
-
-        // `weight_reload` mode: resolve the budget and decide between
-        // the GA (model fits the budgeted core prefix; reload cost is
-        // zero) and the deterministic epoch packer (over budget; the
-        // crossbars are time-multiplexed, so replication is pointless
-        // and the GA's search space collapses — a next-fit pass is
-        // both deterministic and sufficient).
-        let budget = self.session.opts.weight_reload.then(|| {
-            self.session
-                .opts
-                .reload_budget
-                .unwrap_or_else(|| hw.total_crossbars())
-                .min(hw.total_crossbars())
-        });
-        let (core_limit, epoch_plan) = match budget {
-            None => (None, None),
-            Some(b) => {
-                let usable = (b / capacity).min(hw.total_cores());
-                if usable >= 1 && self.partitioning.min_crossbars() <= usable * capacity {
-                    (Some(usable), None)
-                } else {
-                    let plan = EpochPlan::new(&self.partitioning, hw, b)?;
-                    (None, Some(plan))
-                }
+        // Over its reload budget the crossbars are time-multiplexed, so
+        // replication is pointless and the GA's search space collapses:
+        // `place` runs the deterministic epoch packer instead.
+        let (chromosome, ga_stats) = match self.target() {
+            Target::Epochs { .. } => (None, None),
+            Target::Cores { cores, .. } => {
+                let ctx = GaContext {
+                    hw: &self.session.hw,
+                    graph: &self.session.graph,
+                    partitioning: &self.partitioning,
+                    dep: &self.dep,
+                    mode: self.session.opts.mode,
+                    core_limit: Some(cores),
+                };
+                let (chromosome, stats) =
+                    optimize_observed(&ctx, &self.session.opts.ga, &mut |p| {
+                        observer.on_ga_generation(p);
+                    })?;
+                (Some(chromosome), Some(stats))
             }
         };
+        let mut optimized = self.place(chromosome)?;
+        optimized.ga_stats = ga_stats;
+        optimized.elapsed = t0.elapsed();
+        observer.on_stage_finish(CompileStage::ReplicatingMapping, optimized.elapsed);
+        Ok(optimized)
+    }
 
-        if let Some(plan) = epoch_plan {
-            let mapping = CoreMapping::from_epoch_plan(&plan, &self.partitioning, hw.total_cores());
-            let reload = plan.reload_plan(&self.partitioning, hw);
-            let elapsed = t0.elapsed();
-            observer.on_stage_finish(CompileStage::ReplicatingMapping, elapsed);
-            return Ok(Optimized {
-                partitioned: self,
-                mapping,
-                ga_stats: None,
-                reload: Some(reload),
-                elapsed,
-            });
-        }
-
-        let ctx = GaContext {
-            hw: &self.session.hw,
-            graph: &self.session.graph,
-            partitioning: &self.partitioning,
-            dep: &self.dep,
-            mode: self.session.opts.mode,
-            core_limit,
+    /// Stages 2+3 from a given decision: the one way every model is
+    /// placed — the GA's chromosome ([`Partitioned::optimize`]), the
+    /// PUMA baseline's greedy one, or the chromosome a
+    /// [`CompiledArtifact`](crate::CompiledArtifact) recorded. `None`
+    /// asks for the epoch packer, the decision of an over-budget
+    /// `weight_reload` model.
+    ///
+    /// A chromosome is checked the way the GA constrains it
+    /// ([`Chromosome::check_placement`]) before it is materialized.
+    ///
+    /// # Errors
+    ///
+    /// * [`CompileError::MappingInvariant`] when the chromosome breaks a
+    ///   GA constraint, or when the decision's kind does not match the
+    ///   model (a chromosome for an over-budget reload model, none for
+    ///   one that fits),
+    /// * [`CompileError::ReloadBudgetTooSmall`] when the epoch packer
+    ///   cannot hold even one Array Group.
+    pub fn place(self, chromosome: Option<Chromosome>) -> Result<Optimized, CompileError> {
+        let t0 = Instant::now();
+        let hw = &self.session.hw;
+        let mismatch = |detail: &str| CompileError::MappingInvariant {
+            detail: detail.to_string(),
         };
-        let (chromosome, ga_stats) = optimize_observed(&ctx, &self.session.opts.ga, &mut |p| {
-            observer.on_ga_generation(p);
-        })?;
-        let mapping = CoreMapping::from_chromosome(&chromosome, &self.partitioning)?;
-        let reload = budget.map(|b| {
-            resident_reload_plan(
-                &self.partitioning,
-                &mapping,
-                &self.session.hw,
-                b,
-                core_limit.unwrap_or_else(|| self.session.hw.total_cores()),
-            )
-        });
-        let elapsed = t0.elapsed();
-        observer.on_stage_finish(CompileStage::ReplicatingMapping, elapsed);
+        let (mapping, reload) = match (self.target(), &chromosome) {
+            (Target::Cores { cores, budget }, Some(c)) => {
+                c.check_placement(&self.partitioning, cores, hw.crossbar_capacity_per_core())?;
+                let mapping = CoreMapping::from_chromosome(c, &self.partitioning)?;
+                let reload = budget
+                    .map(|b| resident_reload_plan(&self.partitioning, &mapping, hw, b, cores));
+                (mapping, reload)
+            }
+            (Target::Epochs { budget }, None) => {
+                let plan = EpochPlan::new(&self.partitioning, hw, budget)?;
+                let mapping =
+                    CoreMapping::from_epoch_plan(&plan, &self.partitioning, hw.total_cores());
+                (mapping, Some(plan.reload_plan(&self.partitioning, hw)))
+            }
+            (Target::Cores { .. }, None) => {
+                return Err(mismatch(
+                    "the model fits its crossbar target, but the decision has no chromosome",
+                ))
+            }
+            (Target::Epochs { .. }, Some(_)) => {
+                return Err(mismatch(
+                    "the model exceeds its reload budget and is epoch-packed, \
+                     but the decision has a chromosome",
+                ))
+            }
+        };
         Ok(Optimized {
             partitioned: self,
             mapping,
-            ga_stats: Some(ga_stats),
+            chromosome,
+            ga_stats: None,
             reload,
-            elapsed,
+            elapsed: t0.elapsed(),
         })
     }
+
+    /// Where this session's decision may place Array Groups.
+    pub(crate) fn target(&self) -> Target {
+        let hw = &self.session.hw;
+        let opts = &self.session.opts;
+        if !opts.weight_reload {
+            return Target::Cores {
+                cores: hw.total_cores(),
+                budget: None,
+            };
+        }
+        let budget = opts
+            .reload_budget
+            .unwrap_or_else(|| hw.total_crossbars())
+            .min(hw.total_crossbars());
+        let capacity = hw.crossbar_capacity_per_core();
+        let usable = (budget / capacity).min(hw.total_cores());
+        if usable >= 1 && self.partitioning.min_crossbars() <= usable * capacity {
+            Target::Cores {
+                cores: usable,
+                budget: Some(budget),
+            }
+        } else {
+            Target::Epochs { budget }
+        }
+    }
+}
+
+/// The placement target of a [`Partitioned`] session.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Target {
+    /// A chromosome over a core prefix: the whole chip, or in
+    /// `weight_reload` mode the cores a `budget` that the model fits
+    /// covers.
+    Cores { cores: usize, budget: Option<usize> },
+    /// An over-budget `weight_reload` model, packed into epochs.
+    Epochs { budget: usize },
 }
 
 /// The [`ReloadPlan`] of a reload-mode model that fits its budget: one
@@ -512,6 +565,7 @@ fn resident_reload_plan(
 pub struct Optimized {
     partitioned: Partitioned,
     mapping: CoreMapping,
+    chromosome: Option<Chromosome>,
     ga_stats: Option<GaStats>,
     reload: Option<ReloadPlan>,
     elapsed: Duration,
@@ -541,7 +595,7 @@ impl Optimized {
         &self.partitioned
     }
 
-    /// Wall-clock time the GA took.
+    /// Wall-clock time placement took (the GA included).
     pub fn elapsed(&self) -> Duration {
         self.elapsed
     }
@@ -736,6 +790,7 @@ impl Scheduled {
         let Optimized {
             partitioned,
             mapping,
+            chromosome,
             ga_stats,
             reload,
             elapsed: t_mapping,
@@ -789,6 +844,7 @@ impl Scheduled {
             mode: session.opts.mode,
             partitioning,
             mapping,
+            chromosome,
             dep,
             schedule,
             memory,
@@ -877,8 +933,9 @@ mod tests {
         let first = o.mapping().clone();
         let o2 = o.reoptimize(GaParams::fast(99)).unwrap();
         // Different seed explores differently but stays feasible.
+        let cores = o2.partitioned().session().hardware().total_cores();
         o2.mapping()
-            .validate(o2.partitioned().partitioning())
+            .validate(o2.partitioned().partitioning(), cores)
             .unwrap();
         let _ = first;
     }

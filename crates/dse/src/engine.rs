@@ -470,10 +470,12 @@ impl ExploreEngine {
     ///
     /// Entries are keyed by graph + hardware + options fingerprints and
     /// the artifact format version, which guards against spec changes,
-    /// edited `.onnx` model files, and serialization drift — **not**
-    /// against compiler-behavior changes that keep the artifact shape.
-    /// After upgrading the compiler, clear the directory so warm reruns
-    /// cannot mix old and new results.
+    /// edited `.onnx` model files, and serialization drift. An entry
+    /// stores only the GA's decision; partitioning, scheduling, memory
+    /// planning and the fitness estimate are rebuilt on load, so changes
+    /// there apply to warm reruns directly. Only a GA change (a
+    /// different decision for the same seed) or a change to how a
+    /// decision materializes needs the directory cleared.
     #[must_use]
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
@@ -933,9 +935,9 @@ fn point_options(point: &SweepPoint, spec: &SweepSpec, iterations: usize) -> Com
 /// model tag, and the artifact format version. Distinct rung budgets,
 /// policies, and batches therefore key distinct entries. The version
 /// component rejects entries whose *serialized shape* predates this
-/// build; it cannot detect compiler-behavior changes that keep the
-/// shape — clear the cache directory after upgrading the compiler (see
-/// [`ExploreEngine::with_cache_dir`]).
+/// build. Entries hold decisions, so schedule, memory and fitness
+/// changes need no cache clear; a GA change that keeps the shape does
+/// (see [`ExploreEngine::with_cache_dir`]).
 fn cache_path(dir: &Path, point: &SweepPoint, opts: &CompileOptions, graph_fp: u64) -> PathBuf {
     // Model names may be .onnx paths; keep a short human-readable tag
     // in the filename (the fingerprints disambiguate collisions).

@@ -6,6 +6,7 @@
 //! hostile or truncated artifact can exhibit surfaces as an
 //! [`ExecError`].
 
+use pimcomp_core::ArtifactError;
 use std::fmt;
 
 /// Errors produced by the functional executor.
@@ -54,27 +55,11 @@ pub enum ExecError {
         /// Node name.
         node: String,
     },
-    /// The compiled mapping does not cover the partitioning: a
-    /// replica/slice with no Array-Group instance, a duplicate
-    /// instance, an out-of-range index, or a geometry field that
-    /// disagrees with the hardware (truncated or tampered artifact).
-    MappingIncomplete {
-        /// Description of the hole or inconsistency.
-        detail: String,
-    },
-    /// A mapped Array Group names a core outside the target.
-    CoreOutOfRange {
-        /// The core index.
-        core: usize,
-        /// Cores on the target.
-        total: usize,
-    },
-    /// A multi-epoch `weight_reload` artifact whose epoch plan cannot
-    /// be reconstructed or disagrees with its mapping.
-    ReloadPlanMismatch {
-        /// Description of the disagreement.
-        detail: String,
-    },
+    /// The compiled model is inconsistent: a mapping that does not
+    /// cover its partitioning, an out-of-range core, or a reload plan
+    /// its budget does not derive (see
+    /// [`CompiledModel::validate`](pimcomp_core::CompiledModel::validate)).
+    InvalidModel(ArtifactError),
     /// The quantization configuration is invalid.
     InvalidQuant {
         /// Underlying description.
@@ -106,18 +91,7 @@ impl fmt::Display for ExecError {
             ExecError::MissingPartition { node } => {
                 write!(f, "MVM node `{node}` has no partition entry")
             }
-            ExecError::MappingIncomplete { detail } => {
-                write!(f, "mapping does not cover the partitioning: {detail}")
-            }
-            ExecError::CoreOutOfRange { core, total } => {
-                write!(
-                    f,
-                    "mapped core {core} is outside the target ({total} cores)"
-                )
-            }
-            ExecError::ReloadPlanMismatch { detail } => {
-                write!(f, "weight-reload epoch plan mismatch: {detail}")
-            }
+            ExecError::InvalidModel(e) => write!(f, "invalid compiled model: {e}"),
             ExecError::InvalidQuant { detail } => {
                 write!(f, "invalid quantization configuration: {detail}")
             }

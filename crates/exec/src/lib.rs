@@ -64,8 +64,8 @@ pub fn reference_outputs(graph: &Graph, seed: u64) -> Result<Vec<(String, Tensor
 ///
 /// # Errors
 ///
-/// Any [`ExecError`], including the mapping-coverage and reload-plan
-/// validation errors of [`MappedBackend::new`].
+/// Any [`ExecError`], including [`ExecError::InvalidModel`] from
+/// [`MappedBackend::new`].
 pub fn mapped_outputs(
     model: &CompiledModel,
     seed: u64,

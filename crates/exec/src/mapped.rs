@@ -8,8 +8,9 @@
 //! physical crossbars. A window's output element is the sum of its
 //! per-slice partial sums, accumulated in ascending slice order at the
 //! replica's owner core — so a missing, duplicated or misplaced AG in
-//! the mapping produces either a structured [`ExecError`] or a wrong
-//! tensor a differential test catches.
+//! the mapping produces either a structured [`ExecError`] (from
+//! [`CompiledModel::validate`]) or a wrong tensor a differential test
+//! catches.
 //!
 //! With a [`QuantConfig`], the executor additionally models the analog
 //! datapath: weights are rounded to `weight_bits`-bit integers under a
@@ -25,252 +26,31 @@ use crate::engine::{MvmBackend, MvmJob, WeightMatrix};
 use crate::error::ExecError;
 use crate::reference::dot;
 use pimcomp_arch::QuantConfig;
-use pimcomp_core::{slice_rows, CompiledModel, EpochPlan, NodePartition};
-
-/// Per-MVM-entry Array-Group coverage extracted from a [`CoreMapping`]:
-/// `cores[replica][slice]` is the core holding that AG.
-struct Coverage {
-    cores: Vec<Vec<usize>>,
-}
+use pimcomp_core::{slice_rows, ArtifactError, CompiledModel, NodePartition};
 
 /// Computes MVM nodes through the compiled per-crossbar layout.
 pub struct MappedBackend<'a> {
     model: &'a CompiledModel,
     quant: Option<QuantConfig>,
-    coverage: Vec<Coverage>,
 }
 
 impl<'a> MappedBackend<'a> {
-    /// Builds the executor, validating everything it will index: the
-    /// replication counts, every AG instance's `(mvm, replica, slice,
-    /// core)`, the owner table, per-entry geometry against the
-    /// hardware, and (for multi-epoch `weight_reload` artifacts) the
-    /// reconstructed epoch plan.
+    /// Builds the executor after [`CompiledModel::validate`] has checked
+    /// everything it will index.
     ///
     /// # Errors
     ///
-    /// [`ExecError::MappingIncomplete`] / [`ExecError::CoreOutOfRange`]
-    /// / [`ExecError::ReloadPlanMismatch`] on any inconsistency a
-    /// truncated or tampered artifact could exhibit, and
-    /// [`ExecError::InvalidQuant`] for bad quantization knobs.
+    /// [`ExecError::InvalidModel`] on any inconsistency a tampered
+    /// model could exhibit, and [`ExecError::InvalidQuant`] for bad
+    /// quantization knobs.
     pub fn new(model: &'a CompiledModel, quant: Option<QuantConfig>) -> Result<Self, ExecError> {
         if let Some(q) = &quant {
             q.validate().map_err(|e| ExecError::InvalidQuant {
                 detail: e.to_string(),
             })?;
         }
-        model
-            .check_coverage()
-            .map_err(|e| ExecError::MappingIncomplete {
-                detail: e.to_string(),
-            })?;
-        let entries = model.partitioning.entries();
-        let counts = model.mapping.replication.counts();
-        let total_cores = model.hw.total_cores();
-        let hx = model.hw.crossbar_rows;
-        let wcc = model.hw.weight_cols_per_crossbar();
-        if hx == 0 || wcc == 0 {
-            return Err(ExecError::MappingIncomplete {
-                detail: "hardware has zero crossbar rows or weight columns".to_string(),
-            });
-        }
-        for (i, e) in entries.iter().enumerate() {
-            if counts[i] == 0 {
-                return Err(ExecError::MappingIncomplete {
-                    detail: format!("entry {i} (`{}`) has replication 0", e.name),
-                });
-            }
-            if e.ags_per_replica != e.weight_height.div_ceil(hx)
-                || e.crossbars_per_ag != e.weight_width.div_ceil(wcc)
-            {
-                return Err(ExecError::MappingIncomplete {
-                    detail: format!(
-                        "entry {i} (`{}`) geometry ({} AGs × {} crossbars) disagrees with \
-                         a {}×{} weight matrix on {hx}-row, {wcc}-weight-column crossbars",
-                        e.name,
-                        e.ags_per_replica,
-                        e.crossbars_per_ag,
-                        e.weight_height,
-                        e.weight_width
-                    ),
-                });
-            }
-        }
-
-        let mut coverage: Vec<Vec<Vec<Option<usize>>>> = entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| vec![vec![None; e.ags_per_replica]; counts[i]])
-            .collect();
-        for inst in &model.mapping.instances {
-            let slot = coverage
-                .get_mut(inst.mvm)
-                .ok_or(ExecError::MappingIncomplete {
-                    detail: format!(
-                        "AG instance names MVM entry {} of {}",
-                        inst.mvm,
-                        entries.len()
-                    ),
-                })?
-                .get_mut(inst.replica)
-                .ok_or_else(|| ExecError::MappingIncomplete {
-                    detail: format!(
-                        "AG instance names replica {} of entry {} (replication {})",
-                        inst.replica, inst.mvm, counts[inst.mvm]
-                    ),
-                })?
-                .get_mut(inst.slice)
-                .ok_or_else(|| ExecError::MappingIncomplete {
-                    detail: format!(
-                        "AG instance names slice {} of entry {} ({} AGs per replica)",
-                        inst.slice, inst.mvm, entries[inst.mvm].ags_per_replica
-                    ),
-                })?;
-            if inst.core >= total_cores {
-                return Err(ExecError::CoreOutOfRange {
-                    core: inst.core,
-                    total: total_cores,
-                });
-            }
-            if slot.replace(inst.core).is_some() {
-                return Err(ExecError::MappingIncomplete {
-                    detail: format!(
-                        "duplicate AG instance (entry {}, replica {}, slice {})",
-                        inst.mvm, inst.replica, inst.slice
-                    ),
-                });
-            }
-        }
-        let coverage: Vec<Coverage> = coverage
-            .into_iter()
-            .enumerate()
-            .map(|(i, reps)| {
-                let cores = reps
-                    .into_iter()
-                    .enumerate()
-                    .map(|(r, slices)| {
-                        slices
-                            .into_iter()
-                            .enumerate()
-                            .map(|(s, c)| {
-                                c.ok_or_else(|| ExecError::MappingIncomplete {
-                                    detail: format!(
-                                        "no AG instance for entry {i}, replica {r}, slice {s}"
-                                    ),
-                                })
-                            })
-                            .collect::<Result<Vec<_>, _>>()
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Coverage { cores })
-            })
-            .collect::<Result<_, _>>()?;
-
-        // Owner table: one accumulation core per replica, in range.
-        if model.mapping.owners.len() != entries.len() {
-            return Err(ExecError::MappingIncomplete {
-                detail: format!(
-                    "owner table covers {} nodes, partitioning has {}",
-                    model.mapping.owners.len(),
-                    entries.len()
-                ),
-            });
-        }
-        for (i, owners) in model.mapping.owners.iter().enumerate() {
-            if owners.len() != counts[i] {
-                return Err(ExecError::MappingIncomplete {
-                    detail: format!(
-                        "entry {i} has {} owners for {} replicas",
-                        owners.len(),
-                        counts[i]
-                    ),
-                });
-            }
-            for &core in owners {
-                if core >= total_cores {
-                    return Err(ExecError::CoreOutOfRange {
-                        core,
-                        total: total_cores,
-                    });
-                }
-            }
-        }
-
-        let backend = MappedBackend {
-            model,
-            quant,
-            coverage,
-        };
-        backend.check_reload_plan()?;
-        Ok(backend)
-    }
-
-    /// Multi-epoch `weight_reload` artifacts: reconstruct the
-    /// (deterministic) epoch plan from the stored budget and insist it
-    /// covers every Array Group exactly once with replication 1 — the
-    /// duplication-free time-multiplexing contract that only numerics
-    /// can falsify.
-    fn check_reload_plan(&self) -> Result<(), ExecError> {
-        let Some(plan) = self.model.reload.as_ref().filter(|p| !p.is_single_epoch()) else {
-            return Ok(());
-        };
-        let entries = self.model.partitioning.entries();
-        let counts = self.model.mapping.replication.counts();
-        if counts.iter().any(|&c| c != 1) {
-            return Err(ExecError::ReloadPlanMismatch {
-                detail: "multi-epoch reload mapping must be duplication-free (replication 1)"
-                    .to_string(),
-            });
-        }
-        let rebuilt = EpochPlan::new(&self.model.partitioning, &self.model.hw, plan.budget)
-            .map_err(|e| ExecError::ReloadPlanMismatch {
-                detail: format!("cannot rebuild epoch plan for budget {}: {e}", plan.budget),
-            })?;
-        if rebuilt.epoch_count() != plan.epoch_count() {
-            return Err(ExecError::ReloadPlanMismatch {
-                detail: format!(
-                    "stored plan has {} epochs, rebuilt plan has {}",
-                    plan.epoch_count(),
-                    rebuilt.epoch_count()
-                ),
-            });
-        }
-        let mut seen: Vec<Vec<bool>> = entries
-            .iter()
-            .map(|e| vec![false; e.ags_per_replica])
-            .collect();
-        for epoch in &rebuilt.epochs {
-            for a in epoch {
-                let slot = seen
-                    .get_mut(a.mvm)
-                    .and_then(|s| s.get_mut(a.slice))
-                    .ok_or_else(|| ExecError::ReloadPlanMismatch {
-                        detail: format!(
-                            "epoch assignment (entry {}, slice {}) is out of range",
-                            a.mvm, a.slice
-                        ),
-                    })?;
-                if *slot {
-                    return Err(ExecError::ReloadPlanMismatch {
-                        detail: format!(
-                            "entry {} slice {} is written in two epochs",
-                            a.mvm, a.slice
-                        ),
-                    });
-                }
-                *slot = true;
-            }
-        }
-        if let Some((i, s)) = seen
-            .iter()
-            .enumerate()
-            .find_map(|(i, v)| v.iter().position(|&b| !b).map(|s| (i, s)))
-        {
-            return Err(ExecError::ReloadPlanMismatch {
-                detail: format!("entry {i} slice {s} is never scheduled in any epoch"),
-            });
-        }
-        Ok(())
+        model.validate().map_err(ExecError::InvalidModel)?;
+        Ok(MappedBackend { model, quant })
     }
 
     /// The node's partition entries in column-group order, validated
@@ -288,12 +68,12 @@ impl<'a> MappedBackend<'a> {
         for (pos, &i) in indices.iter().enumerate() {
             let e = &entries[i];
             if e.col_group != pos || e.col_groups != indices.len() {
-                return Err(ExecError::MappingIncomplete {
+                return Err(ExecError::InvalidModel(ArtifactError::Inconsistent {
                     detail: format!(
                         "column groups of `{}` are not consecutive (group {} of {})",
                         job.node.name, e.col_group, e.col_groups
                     ),
-                });
+                }));
             }
             if e.weight_height != job.height || e.windows != job.windows {
                 return Err(ExecError::ShapeMismatch {
@@ -343,10 +123,9 @@ impl<'a> MappedBackend<'a> {
                 if w0 >= w1 {
                     continue;
                 }
-                // The replica's AGs: cores are validated and fixed, the
-                // owner core accumulates partials in ascending slice
-                // order (coverage lookup asserts the AGs exist).
-                let _ag_cores = &self.coverage[idx].cores[replica];
+                // The replica's AGs (validated to exist, one per
+                // slice) accumulate at the owner core in ascending
+                // slice order.
                 for s in 0..e.ags_per_replica {
                     let rows = slice_rows(e.weight_height, hx, s);
                     if rows == 0 {

@@ -114,18 +114,28 @@ fn axes_report_is_byte_identical_for_2_workers_with_lease_size_1() {
 fn killed_worker_leases_are_reissued_and_bytes_survive() {
     let spec = smoke_spec();
     let expected = single_process_json(&spec);
-    // Worker w0 dies mid-lease after one point; w1 (slightly delayed
-    // by throttle ordering) picks up the reclaimed remainder.
-    let mut dying = WorkerConfig::connect_to("placeholder");
-    dying.name = "w0-dies".into();
-    dying.max_points = Some(1);
-    let mut survivor = WorkerConfig::connect_to("placeholder");
-    survivor.name = "w1".into();
     let cfg = CoordinatorConfig {
         lease_size: 4, // one lease covers the whole grid: death is mid-lease
         ..CoordinatorConfig::default()
     };
-    let (json, outcome) = distributed_json(&spec, cfg, vec![dying, survivor]);
+    let coordinator = Coordinator::bind(&spec, cfg).expect("bind");
+    let addr = coordinator.local_addr().expect("addr").to_string();
+    let coordinator_thread = std::thread::spawn(move || coordinator.run());
+    // Worker w0 takes the only lease and dies after one point. w1
+    // starts only once w0 has returned, so it cannot take the lease
+    // first: it must pick up the reclaimed remainder.
+    let mut dying = WorkerConfig::connect_to(addr.clone());
+    dying.name = "w0-dies".into();
+    dying.max_points = Some(1);
+    run_worker(&dying).expect("dying worker run");
+    let mut survivor = WorkerConfig::connect_to(addr);
+    survivor.name = "w1".into();
+    run_worker(&survivor).expect("survivor run");
+    let outcome = coordinator_thread
+        .join()
+        .expect("coordinator thread")
+        .expect("coordinator run");
+    let json = outcome.report.to_json().expect("report serializes");
     assert_eq!(
         json, expected,
         "report diverged after a mid-lease worker death"

@@ -54,7 +54,7 @@ pub use report::{EnergyReport, MemoryReport, SimReport};
 pub use resources::{ActivitySpan, BandwidthServer};
 
 use pimcomp_arch::{ComponentLibrary, EnergyModel, HardwareConfig};
-use pimcomp_core::{CompiledArtifact, CompiledModel};
+use pimcomp_core::{ArtifactError, CompiledArtifact, CompiledModel};
 use std::fmt;
 
 /// Simulation errors.
@@ -82,12 +82,9 @@ pub enum SimError {
         /// Diagnostic description.
         detail: String,
     },
-    /// The compiled model's parts disagree with each other (a truncated
-    /// or tampered artifact), so it cannot be simulated.
-    InvalidModel {
-        /// Diagnostic description.
-        detail: String,
-    },
+    /// The compiled model's parts disagree with each other (a model
+    /// edited in memory), so it cannot be simulated.
+    InvalidModel(ArtifactError),
 }
 
 impl fmt::Display for SimError {
@@ -99,7 +96,7 @@ impl fmt::Display for SimError {
             SimError::HardwareMismatch { detail } => {
                 write!(f, "artifact/simulator hardware mismatch: {detail}")
             }
-            SimError::InvalidModel { detail } => write!(f, "invalid compiled model: {detail}"),
+            SimError::InvalidModel(e) => write!(f, "invalid compiled model: {e}"),
         }
     }
 }
@@ -146,17 +143,13 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidModel`] when the model's mapping does not
-    /// cover its partitioning ([`CompiledModel::check_coverage`]);
+    /// [`SimError::InvalidModel`] when the model is inconsistent
+    /// ([`CompiledModel::validate`]);
     /// [`SimError::Diverged`] / [`SimError::Deadlock`] indicate a
     /// schedule that cannot complete (these are asserted against in the
     /// test suite and indicate compiler bugs).
     pub fn run(&self, compiled: &CompiledModel) -> Result<SimReport, SimError> {
-        compiled
-            .check_coverage()
-            .map_err(|e| SimError::InvalidModel {
-                detail: e.to_string(),
-            })?;
+        compiled.validate().map_err(SimError::InvalidModel)?;
         debug_assert_eq!(
             self.hw, compiled.hw,
             "simulator and compilation should target the same hardware"

@@ -21,8 +21,10 @@
 //! to an `.onnx` file.
 //!
 //! The compile-once/serve-many flow: `compile --artifact` persists a
-//! versioned [`CompiledArtifact`]; `simulate --artifact` (typically on
-//! another machine) executes it without recompiling. Pass
+//! versioned [`CompiledArtifact`] (inputs plus the GA's decision);
+//! `simulate --artifact` (typically on another machine) rebuilds the
+//! schedule from that decision and executes it without re-running the
+//! GA. Pass
 //! `--chips`/`--parallelism` to `simulate` to pin the serving target —
 //! the artifact's hardware fingerprint is then checked against it.
 
@@ -91,7 +93,7 @@ USAGE:
   pimcomp verify   --artifact <FILE.pimc.json>         functionally execute a saved
                                                        artifact and check its numerics
   pimcomp inspect  --model <NAME|FILE.onnx>            print graph and workload statistics
-  pimcomp inspect  --artifact <FILE.pimc.json>         summarize a saved artifact's stages
+  pimcomp inspect  --artifact <FILE.pimc.json>         summarize a saved artifact's decision
   pimcomp export   --model <NAME> --out <FILE.onnx>    export a zoo model as ONNX
   pimcomp models                                       list zoo models
   pimcomp explore  <SPEC.json> [options]               run a design-space sweep
@@ -639,19 +641,10 @@ fn inspect_artifact(path: &str) -> Result<(), String> {
         "hardware: {} chips x {} cores, parallelism {}",
         m.hw.chips, m.hw.cores_per_chip, m.hw.parallelism
     );
-    println!("stages:");
-    println!(
-        "  partitioning : {:?} ({} MVM nodes)",
-        r.timings.node_partitioning,
-        m.partitioning.len()
-    );
-    print!(
-        "  replicate+map: {:?} ({} active cores, {} crossbars",
-        r.timings.replicating_mapping, r.active_cores, r.crossbars_used
-    );
     match &r.ga {
         Some(ga) => println!(
-            "; GA {:.0} -> {:.0} over {} generations, {} evals ({} incremental), {} cache hits)",
+            "decision: GA {:.0} -> {:.0} over {} generations, {} evals ({} incremental), \
+             {} cache hits",
             ga.initial_fitness,
             ga.final_fitness,
             ga.history.len(),
@@ -659,11 +652,17 @@ fn inspect_artifact(path: &str) -> Result<(), String> {
             ga.incremental_evals,
             ga.cache_hits
         ),
-        None => println!(")"),
+        None if m.chromosome.is_some() => println!("decision: {} chromosome", r.compiler),
+        None => println!("decision: epoch-packed"),
     }
+    println!("rebuilt on load:");
+    println!("  partitioning : {} MVM nodes", m.partitioning.len());
     println!(
-        "  scheduling   : {:?} ({} schedule, {} policy, peak local {:.1} kB)",
-        r.timings.dataflow_scheduling,
+        "  mapping      : {} active cores, {} crossbars",
+        r.active_cores, r.crossbars_used
+    );
+    println!(
+        "  scheduling   : {} schedule, {} policy, peak local {:.1} kB",
         match &m.schedule {
             pimcomp_core::Schedule::HighThroughput(_) => "HT",
             pimcomp_core::Schedule::LowLatency(_) => "LL",

@@ -124,7 +124,7 @@ fn ag_instances_are_conserved() {
     let compiled = CompileSession::new(hw.clone(), &graph, opts)
         .and_then(CompileSession::run)
         .unwrap();
-    compiled.mapping.validate(&compiled.partitioning).unwrap();
+    compiled.validate().unwrap();
     for (mvm, entry) in compiled.partitioning.entries().iter().enumerate() {
         let r = compiled.mapping.replication.count(mvm);
         for replica in 0..r {

@@ -14,9 +14,12 @@
 //! release test job (`cargo test --release -- --include-ignored`).
 
 use pimcomp_arch::{HardwareConfig, PipelineMode};
-use pimcomp_core::{CompileOptions, CompileSession, CompiledModel, GaParams, Partitioning};
+use pimcomp_core::{
+    ArtifactError, CompileOptions, CompileSession, CompiledModel, GaParams, Partitioning,
+};
 use pimcomp_exec::{mapped_outputs, reference_outputs, rmse, verify_model, ExecError, Tensor};
 use pimcomp_ir::Graph;
+use pimcomp_sim::{SimError, Simulator};
 
 /// Summation-order tolerance: the mapped layout reassociates f32 sums.
 const TOL: f64 = 1e-4;
@@ -269,6 +272,23 @@ fn quantized_verification_reports_finite_metrics() {
 // with structured errors, never panic.
 // ---------------------------------------------------------------------------
 
+/// The executor and the simulator both refuse a model edited in memory
+/// with the same `CompiledModel::validate` error, naming `fact`.
+fn expect_inconsistent(model: &CompiledModel, fact: &str) {
+    match mapped_outputs(model, 1, None) {
+        Err(ExecError::InvalidModel(ArtifactError::Inconsistent { detail })) => {
+            assert!(detail.contains(fact), "{detail}")
+        }
+        other => panic!("expected InvalidModel naming `{fact}`, got {other:?}"),
+    }
+    match Simulator::new(model.hw.clone()).run(model) {
+        Err(SimError::InvalidModel(ArtifactError::Inconsistent { detail })) => {
+            assert!(detail.contains(fact), "{detail}")
+        }
+        other => panic!("expected InvalidModel naming `{fact}`, got {other:?}"),
+    }
+}
+
 #[test]
 fn truncated_mapping_instances_yield_structured_error() {
     let graph = pimcomp_ir::models::tiny_mlp();
@@ -281,10 +301,7 @@ fn truncated_mapping_instances_yield_structured_error() {
         None,
     );
     model.mapping.instances.pop();
-    match mapped_outputs(&model, 1, None) {
-        Err(ExecError::MappingIncomplete { .. }) => {}
-        other => panic!("expected MappingIncomplete, got {other:?}"),
-    }
+    expect_inconsistent(&model, "no AG instance for node");
 }
 
 #[test]
@@ -299,12 +316,7 @@ fn out_of_range_core_yields_structured_error() {
         None,
     );
     model.mapping.instances[0].core = 1_000_000;
-    match mapped_outputs(&model, 1, None) {
-        Err(ExecError::CoreOutOfRange {
-            core: 1_000_000, ..
-        }) => {}
-        other => panic!("expected CoreOutOfRange, got {other:?}"),
-    }
+    expect_inconsistent(&model, "core 1000000");
 }
 
 #[test]
@@ -320,10 +332,7 @@ fn duplicate_ag_instance_yields_structured_error() {
     );
     let dup = model.mapping.instances[0];
     model.mapping.instances.push(dup);
-    match mapped_outputs(&model, 1, None) {
-        Err(ExecError::MappingIncomplete { .. }) => {}
-        other => panic!("expected MappingIncomplete, got {other:?}"),
-    }
+    expect_inconsistent(&model, "duplicate AG instance");
 }
 
 #[test]
@@ -338,10 +347,7 @@ fn truncated_owner_table_yields_structured_error() {
         None,
     );
     model.mapping.owners.pop();
-    match mapped_outputs(&model, 1, None) {
-        Err(ExecError::MappingIncomplete { .. }) => {}
-        other => panic!("expected MappingIncomplete, got {other:?}"),
-    }
+    expect_inconsistent(&model, "owner table covers");
 }
 
 #[test]
@@ -361,10 +367,7 @@ fn tampered_reload_budget_yields_structured_error() {
     assert!(reload.epoch_count() > 1, "precondition: multi-epoch plan");
     // A different budget reconstructs a different epoch plan.
     reload.budget = reload.budget.saturating_mul(4096);
-    match mapped_outputs(&model, 1, None) {
-        Err(ExecError::ReloadPlanMismatch { .. }) => {}
-        other => panic!("expected ReloadPlanMismatch, got {other:?}"),
-    }
+    expect_inconsistent(&model, "epoch plan");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 use pimcomp_arch::{HardwareConfig, PipelineMode};
 use pimcomp_core::{
-    ht_fitness_from_mapping, optimize, puma_mapping, CoreMapping, DepInfo, GaContext, GaParams,
+    ht_fitness_from_mapping, optimize, puma_chromosome, CoreMapping, DepInfo, GaContext, GaParams,
     Partitioning,
 };
 use pimcomp_ir::transform::normalize;
@@ -95,7 +95,8 @@ fn ga_matches_the_balanced_heuristic_on_its_home_turf() {
         &partitioning,
         &CoreMapping::from_chromosome(&best, &partitioning).unwrap(),
     );
-    let heuristic = puma_mapping(&partitioning, &hw).unwrap();
+    let chromosome = puma_chromosome(&partitioning, &hw, hw.total_cores()).unwrap();
+    let heuristic = CoreMapping::from_chromosome(&chromosome, &partitioning).unwrap();
     let heuristic_fit = ht_fitness_from_mapping(&hw, &partitioning, &heuristic);
     assert!(
         ga_fit <= heuristic_fit * 1.05,
@@ -153,7 +154,7 @@ fn max_nodes_per_core_bounds_scattering_without_breaking_feasibility() {
         .unwrap();
         // Every configuration must yield a feasible mapping...
         let mapping = CoreMapping::from_chromosome(&best, &partitioning).unwrap();
-        mapping.validate(&partitioning).unwrap();
+        mapping.validate(&partitioning, best.cores()).unwrap();
         // ...that respects the per-core node limit.
         for core in 0..best.cores() {
             assert!(best.genes_of_core(core).count() <= max_nodes);

@@ -307,7 +307,7 @@ proptest! {
             }
         }
         let mapping = CoreMapping::from_chromosome(&c, &p).unwrap();
-        mapping.validate(&p).unwrap();
+        mapping.validate(&p, c.cores()).unwrap();
         // Whole-replica preference: every owner hosts slice 0.
         for (mvm, owners) in mapping.owners.iter().enumerate() {
             for (replica, &owner) in owners.iter().enumerate() {

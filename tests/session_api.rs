@@ -177,7 +177,7 @@ fn session_reentry_swaps_policy_and_ga_without_recompiling_upstream() {
     let re = optimized.reoptimize(GaParams::fast(22)).unwrap();
     assert_eq!(re.partitioned().partitioning(), &partitioning_before);
     re.mapping()
-        .validate(re.partitioned().partitioning())
+        .validate(re.partitioned().partitioning(), hw().total_cores())
         .unwrap();
 
     // Re-entering with the same seed reproduces the same mapping as a

@@ -5,7 +5,6 @@ use pimcomp::prelude::*;
 use pimcomp_arch::{CoreConnection, PipelineMode};
 use pimcomp_core::CompileOptions;
 use pimcomp_ir::models;
-use pimcomp_sim::SimError;
 
 fn compile_and_run(hw: HardwareConfig, mode: PipelineMode) -> SimReport {
     let graph = models::tiny_cnn();
@@ -141,57 +140,4 @@ fn sim_report_serializes() {
     let r = compile_and_run(HardwareConfig::small_test(), PipelineMode::LowLatency);
     let json = serde_json::to_string(&r).unwrap();
     assert!(json.contains("\"total_cycles\""));
-}
-
-/// The hostile-artifact probe: compile `tiny_cnn` as
-/// `pimcomp compile --model tiny_cnn --chips 1 --parallelism 8 --ga 12x16
-/// --seed 4` does, cut `model.partitioning.entries` to one entry, and
-/// load the result. Simulating it must be a structured error (it used to
-/// panic on an out-of-range partition index), and the functional
-/// executor rejects it through the same coverage check.
-#[test]
-fn truncated_partitioning_is_a_structured_error_not_a_panic() {
-    fn field<'a>(value: &'a mut serde::Value, key: &str) -> &'a mut serde::Value {
-        match value {
-            serde::Value::Map(entries) => {
-                &mut entries.iter_mut().find(|(k, _)| k == key).unwrap().1
-            }
-            other => panic!("expected an object holding `{key}`, found {other:?}"),
-        }
-    }
-
-    let hw = HardwareConfig::puma_with_chips(1).with_parallelism(8);
-    let ga = GaParams {
-        population: 12,
-        iterations: 16,
-        ..GaParams::fast(4)
-    };
-    let opts = CompileOptions::new(PipelineMode::HighThroughput).with_ga(ga);
-    let compiled = CompileSession::new(hw.clone(), &models::tiny_cnn(), opts)
-        .and_then(CompileSession::run)
-        .expect("compiles");
-    let json = CompiledArtifact::new(compiled).to_json().unwrap();
-    let mut value = serde_json::parse_value(&json).unwrap();
-    let entries = ["model", "partitioning", "entries"]
-        .iter()
-        .fold(&mut value, |v, key| field(v, key));
-    let serde::Value::Seq(entries) = entries else {
-        panic!("partitioning entries are not an array");
-    };
-    assert!(entries.len() > 1, "the probe needs several MVM nodes");
-    entries.truncate(1);
-    let artifact = CompiledArtifact::from_json(&serde_json::to_string(&value).unwrap()).unwrap();
-
-    match Simulator::new(hw).run_artifact(&artifact) {
-        Err(SimError::InvalidModel { detail }) => {
-            assert!(detail.contains("partitioning has 1"), "{detail}")
-        }
-        other => panic!("expected InvalidModel, got {other:?}"),
-    }
-    match pimcomp::exec::verify_model(artifact.model(), 1, None) {
-        Err(pimcomp::exec::ExecError::MappingIncomplete { detail }) => {
-            assert!(detail.contains("partitioning has 1"), "{detail}")
-        }
-        other => panic!("expected MappingIncomplete, got {other:?}"),
-    }
 }
