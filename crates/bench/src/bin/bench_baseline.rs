@@ -1,5 +1,5 @@
-//! Performance-baseline harness: measures the three wall-clock numbers
-//! the project optimizes for and gates regressions against a committed
+//! Performance-baseline harness: measures the wall-clock numbers the
+//! project optimizes for and gates regressions against a committed
 //! snapshot.
 //!
 //! Metrics:
@@ -16,7 +16,10 @@
 //! * **reference functional inference wall time** — one
 //!   seed-synthesized resnet18 inference through the `pimcomp-exec`
 //!   f32 interpreter (the per-point cost a `quantization` sweep axis
-//!   adds).
+//!   adds);
+//! * **HT simulation wall time** — one cycle-level simulation of a
+//!   fixed googlenet compile (the per-point cost of a warm-cache
+//!   sweep).
 //!
 //! ```text
 //! bench_baseline [--iters N] [--out PATH] [--check PATH]
@@ -39,6 +42,7 @@ use pimcomp_core::{
     optimize, CompileOptions, CompileSession, DepInfo, GaContext, GaParams, Partitioning,
 };
 use pimcomp_dse::{ExploreEngine, SweepSpec};
+use pimcomp_sim::Simulator;
 use serde::{Deserialize, Serialize};
 use std::num::NonZeroUsize;
 use std::time::Instant;
@@ -394,6 +398,44 @@ fn measure_exec(iters: usize, quiet: bool) -> Metric {
     m
 }
 
+/// HT simulation wall time: one `Simulator::run` of a fixed googlenet
+/// compile (fast seeded GA, batch 2, the harness's sized target). The
+/// compile happens once, outside the timed region, so the metric is
+/// the simulator's event loop plus its model validation. One run takes
+/// milliseconds, so a sample is `inner` back-to-back runs.
+fn measure_sim(iters: usize, quiet: bool) -> Metric {
+    let graph = pimcomp_bench::load_network_or_exit("googlenet");
+    let compiled = pimcomp_bench::compile_one(
+        &graph,
+        PipelineMode::HighThroughput,
+        &GaParams::fast(1),
+        false,
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("error: compiling googlenet failed: {e}");
+        std::process::exit(2);
+    });
+    let simulator = Simulator::new(compiled.hw.clone());
+    let inner = 5;
+    let mut samples = Vec::with_capacity(iters);
+    for _ in 0..iters {
+        let t0 = Instant::now();
+        for _ in 0..inner {
+            let report = simulator.run(&compiled).unwrap_or_else(|e| {
+                eprintln!("error: simulating googlenet failed: {e}");
+                std::process::exit(2);
+            });
+            std::hint::black_box(&report);
+        }
+        samples.push(t0.elapsed().as_secs_f64() * 1e3 / inner as f64);
+    }
+    let m = summarize("sim_wall_ms_googlenet_ht", "latency", "ms", samples);
+    if !quiet {
+        eprintln!("  {}: median {:.2} {}", m.name, m.median, m.unit);
+    }
+    m
+}
+
 fn measure(opts: &Opts) -> Baseline {
     if !opts.quiet {
         eprintln!(
@@ -409,6 +451,7 @@ fn measure(opts: &Opts) -> Baseline {
     metrics.push(measure_sweep(opts.iters, opts.quiet));
     metrics.extend(measure_compile(opts.iters, opts.quiet));
     metrics.push(measure_exec(opts.iters, opts.quiet));
+    metrics.push(measure_sim(opts.iters, opts.quiet));
     Baseline {
         version: SCHEMA_VERSION,
         machine: Machine {

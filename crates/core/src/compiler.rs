@@ -15,6 +15,16 @@ use pimcomp_ir::Graph;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
+/// Largest HT transfer batch [`CompileOptions::validate`] accepts.
+///
+/// The schedule, memory plan and simulator multiply the batch by node
+/// widths, element sizes and partial-sum fan-in, and the simulator
+/// issues `batch` MVMs per AG and round. 2^16 already covers every
+/// sliding window of the zoo's largest feature map (224 × 224 = 50,176)
+/// in one round and keeps those products far below 2^64; a batch near
+/// 2^62 wraps them.
+pub const MAX_HT_BATCH: usize = 1 << 16;
+
 /// User-facing compilation options (the "User Input" of paper Fig. 3
 /// that is not part of the hardware description).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -77,7 +87,7 @@ impl CompileOptions {
     ///
     /// [`CompileError::InvalidOptions`] when:
     ///
-    /// * `batch` is zero,
+    /// * `batch` is zero or larger than [`MAX_HT_BATCH`],
     /// * the GA population or generation count is zero,
     /// * the GA tournament size is zero or the elite fraction is
     ///   outside `[0, 1]`,
@@ -92,8 +102,11 @@ impl CompileOptions {
                 detail: detail.to_string(),
             })
         };
-        if self.batch == 0 {
-            return invalid("`batch` must be at least 1");
+        if !(1..=MAX_HT_BATCH).contains(&self.batch) {
+            return invalid(&format!(
+                "`batch` must be within 1..={MAX_HT_BATCH}, got {}",
+                self.batch
+            ));
         }
         if self.ga.population == 0 {
             return invalid("GA population must be at least 1");

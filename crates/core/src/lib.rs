@@ -68,7 +68,7 @@ pub use artifact::{
     graph_fingerprint, hardware_fingerprint, options_fingerprint, ArtifactError, CompiledArtifact,
 };
 pub use baseline::{puma_chromosome, PumaCompiler};
-pub use compiler::{CompileOptions, CompileReport, CompiledModel, StageTimings};
+pub use compiler::{CompileOptions, CompileReport, CompiledModel, StageTimings, MAX_HT_BATCH};
 pub use error::CompileError;
 pub use fitness::{
     ht_core_time, ht_fitness, ht_fitness_from_mapping, ll_fitness, ll_fitness_with_issue_floor,

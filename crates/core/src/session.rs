@@ -994,7 +994,11 @@ mod tests {
             .schedule()
             .unwrap();
         assert!(matches!(
-            s.rebatch(0),
+            s.clone().rebatch(0),
+            Err(CompileError::InvalidOptions { .. })
+        ));
+        assert!(matches!(
+            s.rebatch(crate::MAX_HT_BATCH + 1),
             Err(CompileError::InvalidOptions { .. })
         ));
     }
@@ -1010,6 +1014,8 @@ mod tests {
             .unwrap();
         let s = s.rebatch(4).unwrap();
         assert_eq!(s.schedule().as_ht().unwrap().batch, 4);
+        let s = s.rebatch(crate::MAX_HT_BATCH).unwrap();
+        assert_eq!(s.schedule().as_ht().unwrap().batch, crate::MAX_HT_BATCH);
     }
 
     #[test]
@@ -1036,6 +1042,12 @@ mod tests {
         assert!(matches!(
             CompileSession::new(hw.clone(), &graph, opts),
             Err(CompileError::InvalidOptions { .. })
+        ));
+        let mut opts = CompileOptions::new(PipelineMode::HighThroughput).with_fast_ga(1);
+        opts.batch = crate::MAX_HT_BATCH + 1;
+        assert!(matches!(
+            CompileSession::new(hw.clone(), &graph, opts),
+            Err(CompileError::InvalidOptions { detail }) if detail.contains("within 1..=65536")
         ));
         let mut opts = CompileOptions::new(PipelineMode::HighThroughput).with_fast_ga(1);
         opts.ga.population = 0;

@@ -162,7 +162,9 @@ impl Simulator {
             return reload::run(compiled, &self.energy, plan);
         }
         match compiled.mode {
-            pimcomp_arch::PipelineMode::HighThroughput => ht::run(compiled, &self.energy),
+            pimcomp_arch::PipelineMode::HighThroughput => {
+                ht::run(compiled, &self.energy).map(|(report, _)| report)
+            }
             pimcomp_arch::PipelineMode::LowLatency => ll::run(compiled, &self.energy),
         }
     }

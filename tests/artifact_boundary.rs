@@ -314,6 +314,15 @@ fn hostile_artifacts_fail_to_load_with_structured_errors() {
     );
     probe(
         &json,
+        "HT batch past the cap",
+        |v| *at(v, &["batch"]) = Value::Int(1 << 62),
+        |e| {
+            matches!(e, ArtifactError::Rebuild(CompileError::InvalidOptions { detail })
+                if detail.contains("within 1..=65536"))
+        },
+    );
+    probe(
+        &json,
         "graph with a foreign node id",
         |v| {
             let Value::Seq(nodes) = at(v, &["graph", "nodes"]) else {

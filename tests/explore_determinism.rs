@@ -151,6 +151,30 @@ fn report_json_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
+fn oversized_ht_batch_fails_its_point_with_the_valid_range() {
+    // A batch past `MAX_HT_BATCH` would overflow the schedule and
+    // simulator arithmetic: it fails its own point, with the valid
+    // range, and the sweep's other points still run.
+    let spec = SweepSpec::from_json(
+        r#"{"models": ["tiny_mlp"], "hardware": {"base": "small_test"},
+            "ht_batches": [2, 4611686018427387904],
+            "ga": {"population": 4, "iterations": 2}}"#,
+    )
+    .unwrap();
+    let out = ExploreEngine::new().with_threads(1).run(&spec).unwrap();
+    let [fine, huge] = &out.report.points[..] else {
+        panic!("expected two points, got {}", out.report.points.len());
+    };
+    assert!(fine.ok, "{:?}", fine.error);
+    assert!(!huge.ok);
+    let error = huge.error.as_deref().unwrap();
+    assert!(
+        error.contains("`batch` must be within 1..=65536"),
+        "{error}"
+    );
+}
+
+#[test]
 fn cache_hit_rerun_reproduces_the_identical_frontier() {
     let dir = temp_dir("cache");
     let _ = std::fs::remove_dir_all(&dir);
