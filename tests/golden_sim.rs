@@ -123,3 +123,40 @@ fn two_chip_naive_spill_simulation_matches_golden() {
     );
     check("sim_squeezenet_ht_2chip_naive_seed7", &simulate(&compiled));
 }
+
+#[test]
+fn googlenet_ll_simulation_matches_golden() {
+    let graph = pimcomp_ir::models::googlenet();
+    let opts = CompileOptions::new(PipelineMode::LowLatency).with_fast_ga(7);
+    let compiled = compile(&graph, auto_puma(&graph), opts);
+    check("sim_googlenet_ll_seed7", &simulate(&compiled));
+}
+
+#[test]
+fn resnet18_multi_epoch_reload_simulation_matches_golden() {
+    // One chip cannot hold resnet18, so the reload plan has several
+    // epochs and the report comes from the analytic path.
+    let graph = pimcomp_ir::models::resnet18();
+    let mut hw = auto_puma(&graph);
+    hw.chips = 1;
+    let compiled = compile(&graph, hw, ht_options(7).with_weight_reload(None));
+    let report = simulate(&compiled);
+    assert!(report.reload_epochs > 1, "{} epochs", report.reload_epochs);
+    assert!(report.reload_stall_cycles > 0);
+    check("sim_resnet18_ht_reload_chip1_seed7", &report);
+}
+
+#[test]
+fn resident_reload_simulation_matches_golden() {
+    // The auto-sized target holds squeezenet, so the reload plan has
+    // one epoch and the HT event engine runs it.
+    let graph = pimcomp_ir::models::squeezenet();
+    let compiled = compile(
+        &graph,
+        auto_puma(&graph),
+        ht_options(7).with_weight_reload(None),
+    );
+    let report = simulate(&compiled);
+    assert_eq!(report.reload_epochs, 1);
+    check("sim_squeezenet_ht_reload_resident_seed7", &report);
+}
