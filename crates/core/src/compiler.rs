@@ -302,8 +302,9 @@ impl CompiledModel {
     }
 
     /// Checks everything the simulator and the functional executor
-    /// index: each partition entry's geometry matches the hardware, the
-    /// mapping realizes its replication plan on the target's cores
+    /// index: the schedule is the one the mode lowers to, each
+    /// partition entry's geometry matches the hardware, the mapping
+    /// realizes its replication plan on the target's cores
     /// ([`CoreMapping::validate`]), and a multi-epoch reload plan is the
     /// one its budget derives. Both consumers call this, so a model
     /// edited in memory fails with the same error in each.
@@ -313,6 +314,16 @@ impl CompiledModel {
     /// [`ArtifactError::Inconsistent`] naming the first violation.
     pub fn validate(&self) -> Result<(), ArtifactError> {
         let inconsistent = |detail: String| ArtifactError::Inconsistent { detail };
+        let schedule_mode = match self.schedule {
+            Schedule::HighThroughput(_) => PipelineMode::HighThroughput,
+            Schedule::LowLatency(_) => PipelineMode::LowLatency,
+        };
+        if schedule_mode != self.mode {
+            return Err(inconsistent(format!(
+                "the model is compiled for {:?} but carries a {schedule_mode:?} schedule",
+                self.mode
+            )));
+        }
         let hx = self.hw.crossbar_rows;
         let wcc = self.hw.weight_cols_per_crossbar();
         if hx == 0 || wcc == 0 {

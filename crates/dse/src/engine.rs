@@ -286,13 +286,15 @@ impl SweepPlan {
         self.points.is_empty()
     }
 
-    /// Evaluates one point at an explicit GA generation budget,
-    /// optionally replaying from / writing to the artifact cache.
-    ///
-    /// The returned record carries `rung: 0, budget: 0, pruned_at:
-    /// None`; multi-rung drivers stamp provenance themselves (that is
-    /// what [`ExploreEngine`] does). Per-point compile/simulate
-    /// failures are recorded in the record, not raised.
+    /// Evaluates one point exactly as a single-process **exhaustive**
+    /// sweep would: full GA budget, provenance stamped (`rung` 0,
+    /// `budget` charged only when the point compiled), optionally
+    /// replaying from / writing to the artifact cache. Distributed
+    /// workers call this, which is what makes a sharded exhaustive
+    /// sweep reduce to the byte-identical report. `observer` receives
+    /// compile-stage progress (cache hits replay without compiling, so
+    /// a hit observes nothing). Per-point compile/simulate failures
+    /// are recorded in the record, not raised.
     ///
     /// # Errors
     ///
@@ -300,23 +302,6 @@ impl SweepPlan {
     pub fn evaluate(
         &self,
         index: usize,
-        iterations: usize,
-        cache_dir: Option<&Path>,
-    ) -> Result<PointOutcome, ExploreError> {
-        self.evaluate_observed(index, iterations, cache_dir, &mut NullObserver)
-    }
-
-    /// [`SweepPlan::evaluate`] with compile-stage progress callbacks
-    /// (cache hits replay without compiling, so a hit observes
-    /// nothing).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SweepPlan::evaluate`].
-    pub fn evaluate_observed(
-        &self,
-        index: usize,
-        iterations: usize,
         cache_dir: Option<&Path>,
         observer: &mut dyn CompileObserver,
     ) -> Result<PointOutcome, ExploreError> {
@@ -329,7 +314,8 @@ impl SweepPlan {
                     self.points.len()
                 ),
             })?;
-        Ok(evaluate_point(
+        let iterations = self.spec.ga_iterations;
+        let mut outcome = evaluate_point(
             point,
             &self.graphs[self.graph_idx[index]],
             self.graph_fps[self.graph_idx[index]],
@@ -337,40 +323,7 @@ impl SweepPlan {
             iterations,
             cache_dir,
             observer,
-        ))
-    }
-
-    /// Evaluates one point exactly as a single-process **exhaustive**
-    /// sweep would: full GA budget, provenance stamped (`rung` 0,
-    /// `budget` charged only when the point compiled). Distributed
-    /// workers call this, which is what makes a sharded exhaustive
-    /// sweep reduce to the byte-identical report.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SweepPlan::evaluate`].
-    pub fn evaluate_final(
-        &self,
-        index: usize,
-        cache_dir: Option<&Path>,
-    ) -> Result<PointOutcome, ExploreError> {
-        self.evaluate_final_observed(index, cache_dir, &mut NullObserver)
-    }
-
-    /// [`SweepPlan::evaluate_final`] with compile-stage progress
-    /// callbacks.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SweepPlan::evaluate`].
-    pub fn evaluate_final_observed(
-        &self,
-        index: usize,
-        cache_dir: Option<&Path>,
-        observer: &mut dyn CompileObserver,
-    ) -> Result<PointOutcome, ExploreError> {
-        let iterations = self.spec.ga_iterations;
-        let mut outcome = self.evaluate_observed(index, iterations, cache_dir, observer)?;
+        );
         outcome.record.rung = 0;
         outcome.record.budget = if outcome.compiled {
             iterations as u64

@@ -27,7 +27,7 @@
 //!   ranges, re-issues leases on worker death or timeout, and reduces
 //!   the journal in canonical point order.
 //! * **Workers** ([`worker`]) evaluate points with
-//!   [`SweepPlan::evaluate_final`](pimcomp_dse::SweepPlan::evaluate_final),
+//!   [`SweepPlan::evaluate`](pimcomp_dse::SweepPlan::evaluate),
 //!   sharing the content-addressed artifact cache (optionally
 //!   size-bounded) and streaming per-point progress back.
 //!

@@ -212,11 +212,8 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, ServeError> {
                         writer: &mut writer,
                         index,
                     };
-                    let outcome = plan.evaluate_final_observed(
-                        index as usize,
-                        cfg.cache_dir.as_deref(),
-                        &mut observer,
-                    )?;
+                    let outcome =
+                        plan.evaluate(index as usize, cfg.cache_dir.as_deref(), &mut observer)?;
                     if outcome.cache_hit {
                         summary.cache_hits += 1;
                     }

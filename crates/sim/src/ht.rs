@@ -38,11 +38,11 @@
 //! first and items run in the order single wake-ups would pop. The
 //! divergence budget counts wake-ups, not entries.
 
-use crate::report::{EnergyReport, MemoryReport, SimReport};
+use crate::report::Tally;
 use crate::resources::{ActivitySpan, BandwidthServer};
 use crate::SimError;
-use pimcomp_arch::{EnergyModel, NocModel};
-use pimcomp_core::CompiledModel;
+use pimcomp_arch::{EnergyModel, HardwareConfig, NocModel};
+use pimcomp_core::{CompiledModel, HtSchedule};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -68,8 +68,9 @@ enum VecPhase {
     Done,
 }
 
-/// Event-queue work of one run, kept out of [`SimReport`] so observing
-/// it never changes report bytes.
+/// Event-queue work of one run, kept out of the
+/// [`SimReport`](crate::SimReport) so observing it never changes report
+/// bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct QueueStats {
     /// Queue keys the event body processed: one per wake-up that ran
@@ -79,15 +80,33 @@ pub(crate) struct QueueStats {
     pub(crate) ran: u64,
 }
 
-/// Runs the HT simulation for a compiled model.
+/// One global-memory port per chip (Table I: 4 MB global memory per
+/// chip); cores contend within their chip.
+struct GlobalMemory<'a> {
+    hw: &'a HardwareConfig,
+    ports: Vec<BandwidthServer>,
+}
+
+impl GlobalMemory<'_> {
+    /// Moves `bytes` between `core`'s local memory and global memory,
+    /// starting at `now`; returns when the transfer ends, which is
+    /// `now` when there is nothing to move.
+    fn transfer(&mut self, tally: &mut Tally, core: usize, now: u64, bytes: usize) -> u64 {
+        if bytes == 0 {
+            return now;
+        }
+        tally.global_bytes += bytes as u64;
+        tally.local_bytes += bytes as u64;
+        self.ports[core / self.hw.cores_per_chip].acquire(now, self.hw.global_memory_cycles(bytes))
+    }
+}
+
+/// Runs the HT simulation of `compiled`, whose schedule is `schedule`.
 pub(crate) fn run(
     compiled: &CompiledModel,
+    schedule: &HtSchedule,
     energy_model: &EnergyModel,
-) -> Result<(SimReport, QueueStats), SimError> {
-    let schedule = compiled
-        .schedule
-        .as_ht()
-        .ok_or(SimError::WrongScheduleKind)?;
+) -> Result<(Tally, QueueStats), SimError> {
     let hw = &compiled.hw;
     let noc = NocModel::new(hw);
     let cores = hw.total_cores();
@@ -132,25 +151,17 @@ pub(crate) fn run(
         partials[pid].get(round).copied().unwrap_or((0, 0))
     };
 
-    // One global-memory port per chip (Table I: 4 MB global memory per
-    // chip); cores contend within their chip.
-    let mut global_mem: Vec<BandwidthServer> =
-        (0..hw.chips).map(|_| BandwidthServer::new()).collect();
-    let chip_of = |core: usize| core / hw.cores_per_chip;
+    let mut global_mem = GlobalMemory {
+        hw,
+        ports: (0..hw.chips).map(|_| BandwidthServer::new()).collect(),
+    };
     let mut issue_free = vec![0u64; cores];
     let mut vfu_free = vec![0u64; cores];
     let mut ag_free: Vec<u64> = vec![0; compiled.mapping.instances.len()];
     let mut spans: Vec<ActivitySpan> = vec![ActivitySpan::default(); cores];
     let mut cursor = vec![0usize; cores];
 
-    // Counters.
-    let mut mvm_ops = 0u64;
-    let mut crossbar_mvms = 0u64;
-    let mut vfu_elems = 0u64;
-    let mut noc_bytes = 0u64;
-    let mut noc_pj = 0f64;
-    let mut global_bytes = 0u64;
-    let mut local_bytes = 0u64;
+    let mut tally = Tally::default();
 
     // Ready queue of `(t, core, n)` entries; cores with work start at
     // t=0 (see the module docs for what the count means).
@@ -201,14 +212,8 @@ pub(crate) fn run(
                         if now < at {
                             continue; // an event at `at` is queued
                         }
-                        let t_store = if p.store_bytes_per_round > 0 {
-                            global_bytes += p.store_bytes_per_round as u64;
-                            local_bytes += p.store_bytes_per_round as u64;
-                            global_mem[chip_of(core)]
-                                .acquire(now, hw.global_memory_cycles(p.store_bytes_per_round))
-                        } else {
-                            now
-                        };
+                        let t_store =
+                            global_mem.transfer(&mut tally, core, now, p.store_bytes_per_round);
                         spans[core].record(now, t_store);
                         phase[pid] = if round + 1 >= p.rounds {
                             Phase::Done
@@ -232,7 +237,7 @@ pub(crate) fn run(
                             * schedule.batch;
                         let t_vfu = vfu_free[core].max(start) + hw.vfu_cycles(add_elems);
                         vfu_free[core] = t_vfu;
-                        vfu_elems += add_elems as u64;
+                        tally.vfu_elems += add_elems as u64;
                         partials[pid][round] = (0, 0);
                         spans[core].record(start, t_vfu);
                         phase[pid] = Phase::StorePending { round, at: t_vfu };
@@ -246,13 +251,7 @@ pub(crate) fn run(
                         //    acquired at the current event time.
                         let spill_extra = 2 * spill[core] / items.len().max(1);
                         let load_b = p.load_bytes_per_round + spill_extra;
-                        let t_load = if load_b > 0 {
-                            global_bytes += load_b as u64;
-                            local_bytes += load_b as u64;
-                            global_mem[chip_of(core)].acquire(now, hw.global_memory_cycles(load_b))
-                        } else {
-                            now
-                        };
+                        let t_load = global_mem.transfer(&mut tally, core, now, load_b);
                         // 2. MVMs: batch per AG, issued at T_interval
                         //    spacing, serialized per AG's crossbars.
                         let n = p.ag_instances.len();
@@ -270,10 +269,10 @@ pub(crate) fn run(
                             }
                         }
                         issue_free[core] = base + k * t_int;
-                        mvm_ops += (n * schedule.batch) as u64;
+                        tally.mvm_ops += (n * schedule.batch) as u64;
                         let xb = compiled.partitioning.entry(p.mvm).crossbars_per_ag as u64;
-                        crossbar_mvms += (n * schedule.batch) as u64 * xb;
-                        local_bytes += p.load_bytes_per_round as u64; // crossbar input reads
+                        tally.crossbar_mvms += (n * schedule.batch) as u64 * xb;
+                        tally.local_bytes += p.load_bytes_per_round as u64; // crossbar input reads
 
                         // 3. Local adds (owner's remote adds + act are
                         //    costed in the AwaitPartials phase).
@@ -284,7 +283,7 @@ pub(crate) fn run(
                         let t_adds = if local_add_elems > 0 {
                             let t = vfu_free[core].max(t_mvm_end) + hw.vfu_cycles(local_add_elems);
                             vfu_free[core] = t;
-                            vfu_elems += local_add_elems as u64;
+                            tally.vfu_elems += local_add_elems as u64;
                             t
                         } else {
                             t_mvm_end
@@ -294,8 +293,8 @@ pub(crate) fn run(
                         // 4. Push partials to owner cores.
                         for s in &p.sends_per_round {
                             let arr = t_adds + noc.transfer_cycles(core, s.to_core, s.bytes);
-                            noc_bytes += s.bytes as u64;
-                            noc_pj += noc.transfer_energy_pj(core, s.to_core, s.bytes);
+                            tally.noc_bytes += s.bytes as u64;
+                            tally.noc_pj += noc.transfer_energy_pj(core, s.to_core, s.bytes);
                             let owner_pid = prog_at[s.to_core * mvm_stride + p.mvm];
                             if owner_pid != usize::MAX {
                                 let table = &mut partials[owner_pid];
@@ -340,14 +339,7 @@ pub(crate) fn run(
                         if now < at {
                             continue;
                         }
-                        let t_store = if t.store_bytes > 0 {
-                            global_bytes += t.store_bytes as u64;
-                            local_bytes += t.store_bytes as u64;
-                            global_mem[chip_of(core)]
-                                .acquire(now, hw.global_memory_cycles(t.store_bytes))
-                        } else {
-                            now
-                        };
+                        let t_store = global_mem.transfer(&mut tally, core, now, t.store_bytes);
                         vec_phase[vid] = VecPhase::Done;
                         spans[core].record(now, t_store);
                         cursor[core] = (pick + 1) % total_items;
@@ -356,17 +348,10 @@ pub(crate) fn run(
                         break;
                     }
                     VecPhase::NotStarted => {
-                        let t_load = if t.load_bytes > 0 {
-                            global_bytes += t.load_bytes as u64;
-                            local_bytes += t.load_bytes as u64;
-                            global_mem[chip_of(core)]
-                                .acquire(now, hw.global_memory_cycles(t.load_bytes))
-                        } else {
-                            now
-                        };
+                        let t_load = global_mem.transfer(&mut tally, core, now, t.load_bytes);
                         let t_vfu = vfu_free[core].max(t_load) + hw.vfu_cycles(t.elems);
                         vfu_free[core] = t_vfu;
-                        vfu_elems += t.elems as u64;
+                        tally.vfu_elems += t.elems as u64;
                         vec_phase[vid] = VecPhase::StorePending { at: t_vfu };
                         spans[core].record(now, t_vfu);
                         cursor[core] = (pick + 1) % total_items;
@@ -448,18 +433,7 @@ pub(crate) fn run(
 
     let per_core_busy: Vec<u64> = spans.iter().map(|s| s.last_end()).collect();
     let pipeline_interval = per_core_busy.iter().copied().max().unwrap_or(0);
-    let active_cores = spans.iter().filter(|s| s.is_active()).count();
 
-    // Energy.
-    let mut energy = EnergyReport {
-        mvm_pj: crossbar_mvms as f64 * energy_model.mvm_pj_per_crossbar,
-        vfu_pj: vfu_elems as f64 * energy_model.vfu_pj_per_element,
-        memory_pj: global_bytes as f64 * energy_model.global_mem_pj_per_byte
-            + local_bytes as f64 * energy_model.local_mem_pj_per_byte,
-        noc_pj,
-        reload_pj: 0.0,
-        leakage_pj: 0.0,
-    };
     // Leakage: each active core leaks over its own activity span (in HT
     // an early-finishing core powers down); global memory and routers
     // leak over the whole makespan.
@@ -476,45 +450,15 @@ pub(crate) fn run(
         energy_model.leakage.global_memory_mw * hw.chips as f64,
         pipeline_interval,
     );
-    energy.leakage_pj = leak;
 
-    // `weight_reload` epochs: the per-inference round reprograms the
-    // time-multiplexed crossbars at each epoch barrier, serializing the
-    // pipeline — the write stalls stretch the steady-state interval and
-    // the cell writes add dynamic energy (both from the compiled
-    // reload schedule; no event-level modeling is needed because every
-    // core stalls at the barrier together).
-    let reload = compiled.reload.as_ref();
-    let reload_stall_cycles = reload.map_or(0, |p| p.total_write_cycles);
-    let total_cycles = pipeline_interval + reload_stall_cycles;
-    energy.reload_pj = reload.map_or(0.0, |p| p.total_write_pj);
-
-    let report = SimReport {
-        model: compiled.graph.name().to_string(),
-        compiler: compiled.report.compiler.clone(),
-        mode: compiled.mode,
-        total_cycles,
-        throughput_inf_per_s: SimReport::throughput_from_cycles(total_cycles, hw.clock_ghz),
-        latency_us: total_cycles as f64 / (hw.clock_ghz * 1000.0),
-        mvm_ops,
-        crossbar_mvms,
-        vfu_elems,
-        noc_bytes,
-        global_bytes,
-        energy,
-        memory: MemoryReport {
-            avg_local_bytes: compiled.memory.avg_bytes,
-            peak_local_bytes: compiled.memory.peak_bytes,
-            global_traffic_bytes: global_bytes as usize,
-        },
-        reload_epochs: reload.map_or(0, |p| p.epoch_count()),
-        reload_ags_rewritten: reload.map_or(0, |p| p.total_ags_written),
-        reload_cells_rewritten: reload.map_or(0, |p| p.total_cells_written),
-        reload_stall_cycles,
-        active_cores,
+    let tally = Tally {
+        cycles: pipeline_interval,
+        leakage_pj: leak,
+        active_cores: spans.iter().filter(|s| s.is_active()).count(),
         per_core_busy,
+        ..tally
     };
-    Ok((report, stats))
+    Ok((tally, stats))
 }
 
 #[cfg(test)]
@@ -538,7 +482,8 @@ mod tests {
             .run()
             .unwrap();
         let energy = EnergyModel::derive(&hw, &ComponentLibrary::puma());
-        let (_, stats) = run(&compiled, &energy).unwrap();
+        let schedule = compiled.schedule.as_ht().unwrap();
+        let (_, stats) = run(&compiled, schedule, &energy).unwrap();
         assert!(stats.ran > 0);
         assert!(
             stats.processed <= 3 * stats.ran,

@@ -51,19 +51,15 @@ mod report;
 mod resources;
 
 pub use report::{EnergyReport, MemoryReport, SimReport};
-pub use resources::{ActivitySpan, BandwidthServer};
 
 use pimcomp_arch::{ComponentLibrary, EnergyModel, HardwareConfig};
-use pimcomp_core::{ArtifactError, CompiledArtifact, CompiledModel};
+use pimcomp_core::{ArtifactError, CompiledArtifact, CompiledModel, Schedule};
 use std::fmt;
 
 /// Simulation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SimError {
-    /// The compiled model's schedule kind does not match the requested
-    /// run (internal misuse).
-    WrongScheduleKind,
     /// The event budget was exhausted — the schedule appears to make no
     /// progress.
     Diverged {
@@ -90,7 +86,6 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::WrongScheduleKind => write!(f, "schedule kind does not match simulator"),
             SimError::Diverged { detail } => write!(f, "simulation diverged: {detail}"),
             SimError::Deadlock { detail } => write!(f, "simulation deadlocked: {detail}"),
             SimError::HardwareMismatch { detail } => {
@@ -103,8 +98,8 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// The simulator front end: dispatches a compiled model to the HT or LL
-/// engine with a consistent energy model.
+/// The simulator front end: dispatches a compiled model to the engine
+/// for its schedule and assembles the report from what it counted.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     hw: HardwareConfig,
@@ -117,26 +112,6 @@ impl Simulator {
     pub fn new(hw: HardwareConfig) -> Self {
         let energy = EnergyModel::derive(&hw, &ComponentLibrary::puma());
         Simulator { hw, energy }
-    }
-
-    /// Creates a simulator with an explicit energy model.
-    pub fn with_energy_model(hw: HardwareConfig, energy: EnergyModel) -> Self {
-        Simulator { hw, energy }
-    }
-
-    /// The hardware target this simulator models. Report consumers use
-    /// this to normalize counters (e.g. utilization over
-    /// [`HardwareConfig::total_cores`]) against the exact target the
-    /// run used, and the DSE engine pairs it with the functional
-    /// executor (`pimcomp-exec`), which verifies *what* the compiled
-    /// mapping computes while the simulator reports *how fast* it runs.
-    pub fn hardware(&self) -> &HardwareConfig {
-        &self.hw
-    }
-
-    /// The energy model in use.
-    pub fn energy_model(&self) -> &EnergyModel {
-        &self.energy
     }
 
     /// Executes a compiled model cycle-accurately.
@@ -158,28 +133,12 @@ impl Simulator {
         // serially; the event engines would model the over-committed
         // mapping as concurrent, so they take the analytic path (see
         // the `reload` module docs).
-        if let Some(plan) = compiled.reload.as_ref().filter(|p| !p.is_single_epoch()) {
-            return reload::run(compiled, &self.energy, plan);
-        }
-        match compiled.mode {
-            pimcomp_arch::PipelineMode::HighThroughput => {
-                ht::run(compiled, &self.energy).map(|(report, _)| report)
-            }
-            pimcomp_arch::PipelineMode::LowLatency => ll::run(compiled, &self.energy),
-        }
-    }
-
-    /// Executes a batch of compiled models against this target,
-    /// returning one result per model in input order — the
-    /// serve-many-models-on-one-target counterpart of
-    /// [`Simulator::run`]. A failing entry yields its error in place
-    /// without aborting the rest of the batch, so batch drivers
-    /// survive one bad model.
-    pub fn run_batch<'a>(
-        &self,
-        models: impl IntoIterator<Item = &'a CompiledModel>,
-    ) -> Vec<Result<SimReport, SimError>> {
-        models.into_iter().map(|m| self.run(m)).collect()
+        let tally = match (&compiled.reload, &compiled.schedule) {
+            (Some(plan), _) if !plan.is_single_epoch() => reload::run(compiled, &self.energy, plan),
+            (_, Schedule::HighThroughput(s)) => ht::run(compiled, s, &self.energy)?.0,
+            (_, Schedule::LowLatency(s)) => ll::run(compiled, s, &self.energy)?,
+        };
+        Ok(report::assemble(compiled, &self.energy, tally))
     }
 
     /// Executes a persisted [`CompiledArtifact`] after verifying it was
@@ -219,35 +178,6 @@ mod tests {
         .and_then(CompileSession::run)
         .unwrap();
         Simulator::new(hw).run(&compiled).unwrap()
-    }
-
-    #[test]
-    fn run_batch_preserves_order_and_matches_single_runs() {
-        let graph = models::tiny_cnn();
-        let hw = HardwareConfig::small_test();
-        let compiled: Vec<_> = [PipelineMode::HighThroughput, PipelineMode::LowLatency]
-            .into_iter()
-            .map(|mode| {
-                CompileSession::new(
-                    hw.clone(),
-                    &graph,
-                    CompileOptions::new(mode).with_fast_ga(3),
-                )
-                .and_then(CompileSession::run)
-                .unwrap()
-            })
-            .collect();
-        let sim = Simulator::new(hw);
-        let batch = sim.run_batch(compiled.iter());
-        assert_eq!(batch.len(), 2);
-        for (one, model) in batch.iter().zip(&compiled) {
-            assert_eq!(one.as_ref().unwrap(), &sim.run(model).unwrap());
-        }
-        assert_eq!(
-            batch[0].as_ref().unwrap().mode,
-            PipelineMode::HighThroughput
-        );
-        assert_eq!(batch[1].as_ref().unwrap().mode, PipelineMode::LowLatency);
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //! * strided window assignment across replicas, so a node's output
 //!   prefix completes smoothly.
 
-use crate::report::{EnergyReport, MemoryReport, SimReport};
+use crate::report::{whole_run_leakage_pj, Tally};
 use crate::resources::ActivitySpan;
 use crate::SimError;
 use pimcomp_arch::{EnergyModel, NocModel};
-use pimcomp_core::{CompiledModel, LlUnitKind};
+use pimcomp_core::{CompiledModel, LlSchedule, LlUnitKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -34,15 +34,12 @@ struct ReplicaRt {
     prev_base: Vec<u64>,
 }
 
-/// Runs the LL simulation for a compiled model.
+/// Runs the LL simulation of `compiled`, whose schedule is `schedule`.
 pub(crate) fn run(
     compiled: &CompiledModel,
+    schedule: &LlSchedule,
     energy_model: &EnergyModel,
-) -> Result<SimReport, SimError> {
-    let schedule = compiled
-        .schedule
-        .as_ll()
-        .ok_or(SimError::WrongScheduleKind)?;
+) -> Result<Tally, SimError> {
     let hw = &compiled.hw;
     let noc = NocModel::new(hw);
     let cores = hw.total_cores();
@@ -265,61 +262,21 @@ pub(crate) fn run(
         }
     }
 
-    let latency = last_done;
     let active_cores = spans.iter().filter(|s| s.is_active()).count();
-
-    // Boundary global traffic (network inputs + outputs).
-    let global_bytes = compiled.memory.global_traffic as u64;
-
-    let mut energy = EnergyReport {
-        mvm_pj: crossbar_mvms as f64 * energy_model.mvm_pj_per_crossbar,
-        vfu_pj: vfu_elems as f64 * energy_model.vfu_pj_per_element,
-        memory_pj: global_bytes as f64 * energy_model.global_mem_pj_per_byte
-            + local_bytes as f64 * energy_model.local_mem_pj_per_byte,
-        noc_pj,
-        reload_pj: 0.0,
-        leakage_pj: 0.0,
-    };
-    // LL leakage: cores hold live inter-layer state, so every active
-    // core leaks over the whole inference (paper §V-B.2: "the active
-    // time of each core is related to the overall inference time").
-    energy.leakage_pj = energy_model.leakage_pj(
-        (energy_model.leakage.core_mw + energy_model.leakage.router_mw) * active_cores as f64
-            + energy_model.leakage.global_memory_mw * hw.chips as f64,
-        latency,
-    );
-
-    // `weight_reload` epochs: each epoch barrier reprograms the shared
-    // crossbars before the next layer span can stream, so the write
-    // stalls extend the single-inference latency directly and the cell
-    // writes add dynamic energy (from the compiled reload schedule).
-    let reload = compiled.reload.as_ref();
-    let reload_stall_cycles = reload.map_or(0, |p| p.total_write_cycles);
-    let latency = latency + reload_stall_cycles;
-    energy.reload_pj = reload.map_or(0.0, |p| p.total_write_pj);
-
-    Ok(SimReport {
-        model: compiled.graph.name().to_string(),
-        compiler: compiled.report.compiler.clone(),
-        mode: compiled.mode,
-        total_cycles: latency,
-        throughput_inf_per_s: SimReport::throughput_from_cycles(latency, hw.clock_ghz),
-        latency_us: latency as f64 / (hw.clock_ghz * 1000.0),
+    Ok(Tally {
+        cycles: last_done,
         mvm_ops,
         crossbar_mvms,
         vfu_elems,
         noc_bytes,
-        global_bytes,
-        energy,
-        memory: MemoryReport {
-            avg_local_bytes: compiled.memory.avg_bytes,
-            peak_local_bytes: compiled.memory.peak_bytes,
-            global_traffic_bytes: global_bytes as usize,
-        },
-        reload_epochs: reload.map_or(0, |p| p.epoch_count()),
-        reload_ags_rewritten: reload.map_or(0, |p| p.total_ags_written),
-        reload_cells_rewritten: reload.map_or(0, |p| p.total_cells_written),
-        reload_stall_cycles,
+        noc_pj,
+        // Boundary global traffic (network inputs + outputs).
+        global_bytes: compiled.memory.global_traffic as u64,
+        local_bytes,
+        // Cores hold live inter-layer state, so every active core leaks
+        // over the whole inference (paper §V-B.2: "the active time of
+        // each core is related to the overall inference time").
+        leakage_pj: whole_run_leakage_pj(energy_model, hw.chips, active_cores, last_done),
         active_cores,
         per_core_busy: spans.iter().map(|s| s.busy_cycles()).collect(),
     })

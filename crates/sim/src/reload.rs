@@ -7,11 +7,12 @@
 //! engines, which execute a mapping as physically concurrent, would
 //! both mismodel that and blow their event budgets on the
 //! over-committed placements reload mode produces. This module instead
-//! assembles the report analytically from the compiled
+//! counts the run analytically from the compiled
 //! [`ReloadPlan`](pimcomp_core::ReloadPlan):
 //!
 //! * **cycles** — the plan's per-epoch Fig. 5 compute estimates
-//!   (scaled by the HT batch) plus the reload write barriers;
+//!   (scaled by the HT batch); the report adds the reload write
+//!   barriers, as it does on every path;
 //! * **MVM work/energy** — exact counts from the mapping (every AG
 //!   processes its node's windows once per inference);
 //! * **leakage** — active cores and global memory leak over the whole
@@ -22,18 +23,16 @@
 //! and `per_core_busy` is empty. Single-epoch reload plans (the model
 //! fit its budget) take the ordinary event-driven engines instead.
 
-use crate::report::{EnergyReport, MemoryReport, SimReport};
-use crate::SimError;
+use crate::report::{whole_run_leakage_pj, Tally};
 use pimcomp_arch::EnergyModel;
 use pimcomp_core::{CompiledModel, ReloadPlan};
 
-/// Assembles the analytic report for a multi-epoch reload model.
+/// Counts the analytic run of a multi-epoch reload model.
 pub(crate) fn run(
     compiled: &CompiledModel,
     energy_model: &EnergyModel,
     plan: &ReloadPlan,
-) -> Result<SimReport, SimError> {
-    let hw = &compiled.hw;
+) -> Tally {
     let batch = compiled.schedule.as_ht().map_or(1, |s| s.batch).max(1);
 
     // Exact MVM work: replication is 1 on this path, so each AG
@@ -49,49 +48,25 @@ pub(crate) fn run(
     // The Fig. 5 per-epoch estimates are linear in the operation-cycle
     // count, so batch scales them exactly.
     let compute_cycles = plan.total_compute_cycles * batch as u64;
-    let total_cycles = compute_cycles + plan.total_write_cycles;
 
-    let mut energy = EnergyReport {
-        mvm_pj: crossbar_mvms as f64 * energy_model.mvm_pj_per_crossbar,
-        vfu_pj: 0.0,
-        memory_pj: 0.0,
-        noc_pj: 0.0,
-        reload_pj: plan.total_write_pj,
-        leakage_pj: 0.0,
-    };
     // Serialized epochs keep every active core powered across the whole
-    // makespan (a core hosting epoch-3 weights cannot power down while
-    // epoch 0 runs — it is about to be rewritten).
+    // makespan, write barriers included (a core hosting epoch-3 weights
+    // cannot power down while epoch 0 runs — it is about to be
+    // rewritten).
     let active_cores = compiled.mapping.active_cores();
-    energy.leakage_pj = energy_model.leakage_pj(
-        (energy_model.leakage.core_mw + energy_model.leakage.router_mw) * active_cores as f64
-            + energy_model.leakage.global_memory_mw * hw.chips as f64,
-        total_cycles,
+    let leakage_pj = whole_run_leakage_pj(
+        energy_model,
+        compiled.hw.chips,
+        active_cores,
+        compute_cycles + plan.total_write_cycles,
     );
 
-    Ok(SimReport {
-        model: compiled.graph.name().to_string(),
-        compiler: compiled.report.compiler.clone(),
-        mode: compiled.mode,
-        total_cycles,
-        throughput_inf_per_s: SimReport::throughput_from_cycles(total_cycles, hw.clock_ghz),
-        latency_us: total_cycles as f64 / (hw.clock_ghz * 1000.0),
+    Tally {
+        cycles: compute_cycles,
         mvm_ops,
         crossbar_mvms,
-        vfu_elems: 0,
-        noc_bytes: 0,
-        global_bytes: 0,
-        energy,
-        memory: MemoryReport {
-            avg_local_bytes: compiled.memory.avg_bytes,
-            peak_local_bytes: compiled.memory.peak_bytes,
-            global_traffic_bytes: 0,
-        },
-        reload_epochs: plan.epoch_count(),
-        reload_ags_rewritten: plan.total_ags_written,
-        reload_cells_rewritten: plan.total_cells_written,
-        reload_stall_cycles: plan.total_write_cycles,
+        leakage_pj,
         active_cores,
-        per_core_busy: Vec::new(),
-    })
+        ..Tally::default()
+    }
 }

@@ -1,7 +1,9 @@
 //! Simulation results: the quantities behind every figure of the
-//! paper's evaluation.
+//! paper's evaluation, and the one place they are assembled from what
+//! an engine counted.
 
-use pimcomp_arch::PipelineMode;
+use pimcomp_arch::{EnergyModel, PipelineMode};
+use pimcomp_core::CompiledModel;
 use serde::{Deserialize, Serialize};
 
 /// Energy breakdown in picojoules (Fig. 9's dynamic/leakage split plus
@@ -90,7 +92,12 @@ pub struct SimReport {
     pub reload_stall_cycles: u64,
     /// Cores that did any work.
     pub active_cores: usize,
-    /// Per-core busy cycles (bottleneck analysis).
+    /// Per-core activity for bottleneck analysis; what it measures
+    /// depends on the path that simulated the model. HT: the end of
+    /// each core's last activity, so the largest entry equals
+    /// `total_cycles`. LL: the sum of each core's busy intervals
+    /// (overlapping MVM and VFU work counts twice). Multi-epoch
+    /// `weight_reload`: empty, since that path models no events.
     pub per_core_busy: Vec<u64>,
 }
 
@@ -103,6 +110,92 @@ impl SimReport {
         }
         clock_ghz * 1e9 / cycles as f64
     }
+}
+
+/// What one simulation path counted. [`assemble`] turns any tally into
+/// the [`SimReport`], so every path reports through the same code.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tally {
+    /// Simulated cycles before `weight_reload` write stalls: the HT
+    /// pipeline interval, the LL latency, or the serialized compute of
+    /// a multi-epoch plan.
+    pub(crate) cycles: u64,
+    pub(crate) mvm_ops: u64,
+    pub(crate) crossbar_mvms: u64,
+    pub(crate) vfu_elems: u64,
+    pub(crate) noc_bytes: u64,
+    pub(crate) noc_pj: f64,
+    pub(crate) global_bytes: u64,
+    pub(crate) local_bytes: u64,
+    /// Leakage is part of each engine's model (HT powers cores down
+    /// early), so the engine integrates it.
+    pub(crate) leakage_pj: f64,
+    pub(crate) active_cores: usize,
+    pub(crate) per_core_busy: Vec<u64>,
+}
+
+/// Builds the report of `compiled` from what its simulation counted.
+///
+/// The reload write stalls and write energy come from the compiled
+/// reload plan on every path; they are zero unless the plan has more
+/// than one epoch.
+pub(crate) fn assemble(
+    compiled: &CompiledModel,
+    energy_model: &EnergyModel,
+    tally: Tally,
+) -> SimReport {
+    let hw = &compiled.hw;
+    let reload = compiled.reload.as_ref();
+    let reload_stall_cycles = reload.map_or(0, |p| p.total_write_cycles);
+    let total_cycles = tally.cycles + reload_stall_cycles;
+    SimReport {
+        model: compiled.graph.name().to_string(),
+        compiler: compiled.report.compiler.clone(),
+        mode: compiled.mode,
+        total_cycles,
+        throughput_inf_per_s: SimReport::throughput_from_cycles(total_cycles, hw.clock_ghz),
+        latency_us: total_cycles as f64 / (hw.clock_ghz * 1000.0),
+        mvm_ops: tally.mvm_ops,
+        crossbar_mvms: tally.crossbar_mvms,
+        vfu_elems: tally.vfu_elems,
+        noc_bytes: tally.noc_bytes,
+        global_bytes: tally.global_bytes,
+        energy: EnergyReport {
+            mvm_pj: tally.crossbar_mvms as f64 * energy_model.mvm_pj_per_crossbar,
+            vfu_pj: tally.vfu_elems as f64 * energy_model.vfu_pj_per_element,
+            memory_pj: tally.global_bytes as f64 * energy_model.global_mem_pj_per_byte
+                + tally.local_bytes as f64 * energy_model.local_mem_pj_per_byte,
+            noc_pj: tally.noc_pj,
+            reload_pj: reload.map_or(0.0, |p| p.total_write_pj),
+            leakage_pj: tally.leakage_pj,
+        },
+        memory: MemoryReport {
+            avg_local_bytes: compiled.memory.avg_bytes,
+            peak_local_bytes: compiled.memory.peak_bytes,
+            global_traffic_bytes: tally.global_bytes as usize,
+        },
+        reload_epochs: reload.map_or(0, |p| p.epoch_count()),
+        reload_ags_rewritten: reload.map_or(0, |p| p.total_ags_written),
+        reload_cells_rewritten: reload.map_or(0, |p| p.total_cells_written),
+        reload_stall_cycles,
+        active_cores: tally.active_cores,
+        per_core_busy: tally.per_core_busy,
+    }
+}
+
+/// Leakage of a run that keeps every active core with its router, and
+/// each chip's global memory, powered for all of `cycles`.
+pub(crate) fn whole_run_leakage_pj(
+    energy_model: &EnergyModel,
+    chips: usize,
+    active_cores: usize,
+    cycles: u64,
+) -> f64 {
+    energy_model.leakage_pj(
+        (energy_model.leakage.core_mw + energy_model.leakage.router_mw) * active_cores as f64
+            + energy_model.leakage.global_memory_mw * chips as f64,
+        cycles,
+    )
 }
 
 #[cfg(test)]

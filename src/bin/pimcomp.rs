@@ -43,19 +43,12 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    // `explore` takes a positional spec path; handle it before the
-    // flag-only parser.
-    if cmd == "explore" {
-        return match cmd_explore(rest) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    if matches!(cmd.as_str(), "--help" | "-h" | "help") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
     }
-    let opts = match parse_flags(rest) {
-        Ok(o) => o,
+    let (opts, spec) = match parse_args(cmd, rest) {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             return ExitCode::FAILURE;
@@ -68,13 +61,10 @@ fn main() -> ExitCode {
         "inspect" => cmd_inspect(&opts),
         "export" => cmd_export(&opts),
         "models" => cmd_models(),
+        "explore" => cmd_explore(&opts, spec),
         "serve" => cmd_serve(&opts),
         "work" => cmd_work(&opts),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`")),
+        other => unreachable!("`{other}` has a flag table but no handler"),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -193,24 +183,139 @@ OPTIONS (work):
   --max-points N          stop after N points (CI kill/restart drills)
   --throttle-ms MS        sleep after each point (test interleaving)";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// A command-line flag: its name without the leading `--`, and whether
+/// a value follows it.
+type Flag = (&'static str, bool);
+
+/// Each subcommand's flags; a flag not in its command's list is an error.
+const COMMAND_FLAGS: &[(&str, &[Flag])] = &[
+    (
+        "compile",
+        &[
+            ("model", true),
+            ("mode", true),
+            ("chips", true),
+            ("parallelism", true),
+            ("policy", true),
+            ("ga", true),
+            ("seed", true),
+            ("weight-reload", false),
+            ("seq-len", true),
+            ("reload-budget", true),
+            ("threads", true),
+            ("artifact", true),
+            ("progress", false),
+            ("simulate", false),
+            ("report", true),
+        ],
+    ),
+    (
+        "simulate",
+        &[
+            ("artifact", true),
+            ("chips", true),
+            ("parallelism", true),
+            ("report", true),
+        ],
+    ),
+    (
+        "verify",
+        &[
+            ("artifact", true),
+            ("seed", true),
+            ("tolerance", true),
+            ("quantized", false),
+            ("adc-bits", true),
+        ],
+    ),
+    ("inspect", &[("model", true), ("artifact", true)]),
+    ("export", &[("model", true), ("out", true)]),
+    ("models", &[]),
+    (
+        "explore",
+        &[
+            ("spec", true),
+            ("threads", true),
+            ("out", true),
+            ("csv", true),
+            ("cache", true),
+            ("cache-max-mb", true),
+            ("budget-summary", false),
+            ("progress", false),
+            ("diff", true),
+            ("against", true),
+        ],
+    ),
+    (
+        "serve",
+        &[
+            ("spec", true),
+            ("listen", true),
+            ("port-file", true),
+            ("journal", true),
+            ("lease-size", true),
+            ("lease-timeout-secs", true),
+            ("out", true),
+            ("csv", true),
+            ("progress", false),
+        ],
+    ),
+    (
+        "work",
+        &[
+            ("connect", true),
+            ("name", true),
+            ("cache", true),
+            ("cache-max-mb", true),
+            ("max-points", true),
+            ("throttle-ms", true),
+        ],
+    ),
+];
+
+/// Parses the arguments of subcommand `cmd` against its flag table into
+/// flag values (switches map to `"true"`) and, for `explore`, the
+/// positional spec path.
+fn parse_args(
+    cmd: &str,
+    args: &[String],
+) -> Result<(HashMap<String, String>, Option<String>), String> {
+    let (_, flags) = COMMAND_FLAGS
+        .iter()
+        .find(|(name, _)| *name == cmd)
+        .ok_or_else(|| format!("unknown command `{cmd}`"))?;
     let mut map = HashMap::new();
+    let mut positional = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(key) = a.strip_prefix("--") else {
+            if cmd == "explore" && positional.is_none() {
+                positional = Some(a.clone());
+                continue;
+            }
             return Err(format!("unexpected argument `{a}`"));
         };
-        match key {
-            "simulate" | "progress" | "weight-reload" | "quantized" => {
-                map.insert(key.to_string(), "true".to_string());
-            }
-            _ => {
-                let v = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-                map.insert(key.to_string(), v.clone());
-            }
-        }
+        let Some(&(_, takes_value)) = flags.iter().find(|(name, _)| *name == key) else {
+            let known: Vec<String> = flags.iter().map(|(name, _)| format!("--{name}")).collect();
+            return Err(format!(
+                "unknown flag `--{key}` for `pimcomp {cmd}`; its flags are: {}",
+                if known.is_empty() {
+                    "(none)".to_string()
+                } else {
+                    known.join(", ")
+                }
+            ));
+        };
+        let value = if takes_value {
+            it.next()
+                .ok_or_else(|| format!("--{key} needs a value"))?
+                .clone()
+        } else {
+            "true".to_string()
+        };
+        map.insert(key.to_string(), value);
     }
-    Ok(map)
+    Ok((map, positional))
 }
 
 fn load_model(opts: &HashMap<String, String>) -> Result<Graph, String> {
@@ -729,27 +834,8 @@ fn cmd_export(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_explore(args: &[String]) -> Result<(), String> {
+fn cmd_explore(flags: &HashMap<String, String>, spec_path: Option<String>) -> Result<(), String> {
     use pimcomp::dse::{ExploreEngine, SweepAxis, SweepReport, SweepSpec};
-
-    // One positional (the spec path) plus --key value flags.
-    let mut spec_path: Option<String> = None;
-    let mut flags: HashMap<String, String> = HashMap::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if let Some(key) = a.strip_prefix("--") {
-            if key == "budget-summary" || key == "progress" {
-                flags.insert(key.to_string(), "true".to_string());
-                continue;
-            }
-            let v = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-            flags.insert(key.to_string(), v.clone());
-        } else if spec_path.is_none() {
-            spec_path = Some(a.clone());
-        } else {
-            return Err(format!("unexpected argument `{a}`"));
-        }
-    }
 
     // Diff mode: compare two saved reports instead of running.
     if let Some(old) = flags.get("diff") {

@@ -616,3 +616,62 @@ fn invalid_specs_and_unknown_models_are_structured_cli_errors() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn misspelled_cli_flags_are_errors_naming_the_flag() {
+    // A misspelled flag used to be stored and ignored, so the run went
+    // ahead with the default and printed a plausible wrong report.
+    let bin = env!("CARGO_BIN_EXE_pimcomp");
+    let dir = temp_dir("flags");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec_path = dir.join("sweep.json");
+    std::fs::write(&spec_path, SPEC).unwrap();
+    let spec = spec_path.to_str().unwrap();
+    let compile = [
+        "compile", "--model", "tiny_cnn", "--chips", "1", "--ga", "4x2",
+    ];
+
+    let cases: [(Vec<&str>, &str, &str); 5] = [
+        ([&compile[..], &["--sed", "9"]].concat(), "--sed", "--seed"),
+        (
+            [&compile[..], &["--paralellism", "4"]].concat(),
+            "--paralellism",
+            "--parallelism",
+        ),
+        (
+            vec!["explore", spec, "--thread", "2", "--cache", "off"],
+            "--thread",
+            "--threads",
+        ),
+        (
+            vec![
+                "simulate",
+                "--artifact",
+                "a.pimc.json",
+                "--reprot",
+                "r.json",
+            ],
+            "--reprot",
+            "--report",
+        ),
+        (
+            vec!["verify", "--artifact", "a.pimc.json", "--quantised"],
+            "--quantised",
+            "--quantized",
+        ),
+    ];
+    for (args, bad, listed) in cases {
+        let out = std::process::Command::new(bin)
+            .args(&args)
+            .output()
+            .expect("spawn pimcomp");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} should fail");
+        assert!(
+            stderr.contains(&format!("unknown flag `{bad}`")) && stderr.contains(listed),
+            "{args:?}: stderr `{stderr}` should name `{bad}` and list `{listed}`"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -351,6 +351,25 @@ fn truncated_owner_table_yields_structured_error() {
 }
 
 #[test]
+fn mode_schedule_mismatch_yields_structured_error() {
+    let graph = pimcomp_ir::models::tiny_mlp();
+    let mut model = compile(
+        &graph,
+        HardwareConfig::small_test(),
+        PipelineMode::HighThroughput,
+        1,
+        None,
+        None,
+    );
+    model.mode = PipelineMode::LowLatency;
+    assert!(matches!(
+        model.validate(),
+        Err(ArtifactError::Inconsistent { .. })
+    ));
+    expect_inconsistent(&model, "HighThroughput schedule");
+}
+
+#[test]
 fn tampered_reload_budget_yields_structured_error() {
     let graph = pimcomp_ir::models::tiny_cnn();
     let hw = HardwareConfig::small_test();
